@@ -38,6 +38,7 @@ import json
 from pathlib import Path
 
 from repro.analysis.findings import Finding
+from repro.atomic import atomic_write
 
 __all__ = [
     "LintCache",
@@ -180,9 +181,8 @@ class LintCache:
         if not (self.enabled and self._dirty):
             return
         payload = {"version": CACHE_VERSION, "entries": self._entries}
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True), encoding="utf-8"
-        )
-        tmp.replace(self.path)
+        with atomic_write(self.path) as tmp:
+            tmp.write_text(
+                json.dumps(payload, sort_keys=True), encoding="utf-8"
+            )
         self._dirty = False

@@ -17,7 +17,7 @@ from repro.bench.workloads import budget_bytes, load_bench, standard_spec
 from repro.core.microbatch import generate_micro_batches
 from repro.core.scheduler import BuffaloScheduler
 from repro.core.symbolic import SymbolicTrainer
-from repro.device.device import MultiGPU
+from repro.device.fleet import DeviceFleet
 
 
 def _iteration_time(
@@ -34,7 +34,7 @@ def _iteration_time(
     plan = scheduler.schedule(prepared.batch, prepared.blocks)
     micro_batches = generate_micro_batches(prepared.batch, plan)
 
-    group = MultiGPU(n_devices, capacity_bytes=budget)
+    group = DeviceFleet(n_devices, capacity_bytes=budget)
     trainers = [SymbolicTrainer(spec, d) for d in group.devices]
     for i, mb in enumerate(micro_batches):
         trainers[i % n_devices].iterate([mb.blocks])

@@ -1,11 +1,11 @@
 """Split-parallel scaling: bucket groups placed across a device fleet.
 
 An extension beyond the paper (§V-G runs data parallelism): the
-split-parallel trainer (:mod:`repro.core.split_parallel`) partitions
-the feature matrix across N devices, extends Algorithm 3's K-search to
-a joint (K, N) placement of bucket groups, and prices halo-feature
-exchange plus the gradient all-reduce on the fleet's interconnect
-clock.
+``split`` placement policy (:mod:`repro.core.split_parallel`)
+partitions the feature matrix across N devices, extends Algorithm 3's
+K-search to a joint (K, N) placement of bucket groups, and prices
+halo-feature exchange plus the gradient all-reduce on the fleet's
+interconnect clock.
 
 One iteration of the standard benchmark workload runs at N = 1, 2, 4
 on an NVLink-peered A100 fleet (the paper's 80 GB part; a PCIe fleet
@@ -29,7 +29,6 @@ from repro.bench.harness import ExperimentOutput
 from repro.bench.reporting import format_table
 from repro.bench.workloads import load_bench, standard_spec
 from repro.core.api import BuffaloTrainer
-from repro.core.split_parallel import SplitParallelBuffaloTrainer
 from repro.device.costmodel import NVLINK_A100
 from repro.device.device import SimulatedGPU
 from repro.device.fleet import DeviceFleet
@@ -66,7 +65,7 @@ def run(
 
     results = {}
     for n in fleet_sizes:
-        trainer = SplitParallelBuffaloTrainer(
+        trainer = BuffaloTrainer(
             dataset,
             spec,
             DeviceFleet(n, capacity_bytes=1 << 40, spec=NVLINK_A100),
@@ -74,19 +73,19 @@ def run(
             memory_constraint=constraint,
             clustering_coefficient=clustering,
             seed=seed,
+            parallel="split",
         )
-        iteration = trainer.run_iteration(seeds)
-        results[n] = iteration
+        results[n] = trainer.run_iteration(seeds)
 
     base = results[fleet_sizes[0]]
     rows = []
     data: dict[str, dict] = {
-        "loss": {f"n{n}": it.loss for n, it in results.items()},
+        "loss": {f"n{n}": it.result.loss for n, it in results.items()},
         "k": {"k": base.n_micro_batches},
     }
     for n, it in results.items():
         speedup = base.sim_time_s / it.sim_time_s
-        makespan = fleet_makespan(it.timings, it.placement.assignments)
+        makespan = fleet_makespan(it.pipeline.timings, it.assignments)
         rows.append(
             [
                 f"N={n}",
@@ -109,7 +108,7 @@ def run(
             "worst_device_peak_bytes": float(max(it.per_device_peaks)),
         }
 
-    losses = [it.loss for it in results.values()]
+    losses = [it.result.loss for it in results.values()]
     multi = [n for n in fleet_sizes if n > 1]
     checks = {
         "k_covers_largest_fleet": (

@@ -104,17 +104,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--devices",
         type=int,
         default=1,
-        help="simulated GPU count; > 1 enables multi-device training "
-        "(gradients stay bit-identical to a single device)",
+        help="simulated GPU count N of the training fleet (every other "
+        "train flag composes with N > 1; gradients stay bit-identical "
+        "to a single device)",
     )
     train.add_argument(
         "--parallel",
         default="split",
         choices=["data", "split"],
-        help="multi-device strategy with --devices > 1: 'data' "
-        "replicates features and round-robins micro-batches; 'split' "
-        "partitions the feature matrix and places bucket groups "
-        "(halo exchange over the interconnect; see docs/distributed.md)",
+        help="placement policy of a --devices > 1 fleet: 'data' keeps "
+        "features on the host and runs group i on device i mod N; "
+        "'split' partitions the feature matrix and places bucket groups "
+        "by load (shard reads + halo exchange over the interconnect; "
+        "see docs/distributed.md)",
     )
     train.add_argument(
         "--pipeline-depth",
@@ -756,6 +758,8 @@ def _train_ledger_record(args, trainer, recorder, fanouts):
         "reuse_features": args.reuse_features,
         "kernel_backend": args.kernel_backend,
         "kernel_threads": args.kernel_threads,
+        "devices": args.devices,
+        "parallel": trainer.parallel,
     }
     peaks: dict[str, float] = {
         "device": float(recorder.device_peak_bytes)
@@ -764,7 +768,7 @@ def _train_ledger_record(args, trainer, recorder, fanouts):
         peaks["store"] = float(trainer.store.peak_resident_bytes)
     if trainer.feature_cache is not None:
         peaks["cache"] = float(trainer.feature_cache.resident_bytes)
-    workspace = getattr(trainer.trainer.kernel, "workspace", None)
+    workspace = getattr(trainer.trainers[0].kernel, "workspace", None)
     if workspace is not None:
         peaks["workspace"] = float(workspace.peak_bytes)
 
@@ -800,7 +804,8 @@ def _cmd_train(args) -> int:
     from repro.bench.workloads import budget_bytes
     from repro.core import BuffaloTrainer
     from repro.datasets import load
-    from repro.device import SimulatedGPU
+    from repro.device import DeviceFleet, SimulatedGPU
+    from repro.errors import ReproError
     from repro.gnn.footprint import ModelSpec
     from repro.training import TrainingLoop
 
@@ -815,29 +820,6 @@ def _cmd_train(args) -> int:
     _require_positive(args.host_budget_mb, "--host-budget-mb")
     _require_positive(args.devices, "--devices")
     _require_positive(args.kernel_threads, "--kernel-threads")
-    if args.devices > 1:
-        # The parallel trainers run the plain Algorithm 2 path; the
-        # single-device execution features below are not wired through
-        # them, so reject the combinations instead of ignoring flags.
-        incompatible = [
-            ("--data-store", args.data_store is not None),
-            ("--reuse-features", args.reuse_features),
-            ("--feature-cache-bytes", args.feature_cache_bytes is not None),
-            ("--pipeline-depth > 1", args.pipeline_depth > 1),
-            ("--pipeline-mode other than auto", args.pipeline_mode != "auto"),
-            ("--kernel-backend fused", args.kernel_backend == "fused"),
-            ("--kernel-threads > 1", args.kernel_threads > 1),
-            ("--calibration", args.calibration is not None),
-            ("--ledger", args.ledger is not None),
-        ]
-        if args.parallel != "split":
-            incompatible.append(("--timeline", args.timeline is not None))
-        rejected = [flag for flag, present in incompatible if present]
-        if rejected:
-            raise SystemExit(
-                f"--devices {args.devices} (--parallel {args.parallel}) "
-                f"does not support: {', '.join(rejected)}"
-            )
     if args.data_store is not None:
         from pathlib import Path
 
@@ -876,33 +858,19 @@ def _cmd_train(args) -> int:
         dropout=args.dropout,
     )
     capacity = budget_bytes(dataset, args.budget_gb)
-    if args.devices > 1:
-        if args.parallel == "split":
-            from repro.core import SplitParallelBuffaloTrainer
-            from repro.device import DeviceFleet
-
-            fleet = DeviceFleet(args.devices, capacity_bytes=capacity)
-            trainer = SplitParallelBuffaloTrainer(
-                dataset, spec, fleet, fanouts=fanouts, seed=args.seed
-            )
-            device = fleet.devices[0]
-        else:
-            from repro.core import DataParallelBuffaloTrainer
-            from repro.device import MultiGPU
-
-            group = MultiGPU(args.devices, capacity_bytes=capacity)
-            trainer = DataParallelBuffaloTrainer(
-                dataset, spec, group, fanouts=fanouts, seed=args.seed
-            )
-            device = group.devices[0]
-    else:
-        device = SimulatedGPU(capacity_bytes=capacity)
+    # One device is the N = 1 fleet under host->device pricing;
+    # --parallel picks the placement policy of a larger fleet.
+    multi = args.devices > 1
+    try:
         trainer = BuffaloTrainer(
             dataset,
             spec,
-            device,
+            DeviceFleet(args.devices, capacity_bytes=capacity)
+            if multi
+            else SimulatedGPU(capacity_bytes=capacity),
             fanouts=fanouts,
             seed=args.seed,
+            parallel=args.parallel if multi else "data",
             pipeline_depth=args.pipeline_depth,
             pipeline_mode=args.pipeline_mode,
             reuse_features=args.reuse_features,
@@ -911,6 +879,8 @@ def _cmd_train(args) -> int:
             kernel_threads=args.kernel_threads,
             kernel_calibration=args.calibration,
         )
+    except ReproError as exc:
+        raise SystemExit(f"error: {exc}")
     val_nodes = None
     if args.do_eval:
         val_nodes = dataset.val_nodes[:500]
@@ -936,7 +906,7 @@ def _cmd_train(args) -> int:
         f"training {args.aggregator}-GraphSAGE"
         f"{' (GAT)' if args.aggregator == 'attention' else ''} on "
         f"{source} under {args.budget_gb:.0f} GB-equivalent "
-        f"({device.capacity / 2**20:.0f} MiB)"
+        f"({trainer.device.capacity / 2**20:.0f} MiB)"
         f"{fleet_note}"
     )
     ledger_path = _resolve_ledger_path(args.ledger, "train")
@@ -954,12 +924,7 @@ def _cmd_train(args) -> int:
         )
     if args.timeline is not None:
         trainer.attach_timeline()
-    telemetry = getattr(trainer, "telemetry", None)
-    extra_payload = (
-        {"estimator_accuracy": lambda: telemetry.to_dict()}
-        if telemetry is not None
-        else None
-    )
+    extra_payload = {"estimator_accuracy": trainer.telemetry.to_dict}
     try:
         with _observability(args, extra_payload):
             for result in loop.run(args.epochs):
@@ -1002,22 +967,21 @@ def _cmd_train(args) -> int:
             )
         print(f"ledger record appended to {ledger_path}")
     if args.devices > 1:
-        fleet = getattr(trainer, "fleet", None)
-        if fleet is not None:
-            print(
-                f"fleet: halo {fleet.halo_bytes / 2**20:.2f} MiB "
-                f"exchanged, all-reduce "
-                f"{fleet.allreduce_bytes / 2**20:.2f} MiB, "
-                f"sim {fleet.sim_time_s * 1e3:.2f} ms"
-            )
-    feature_cache = getattr(trainer, "feature_cache", None)
+        fleet = trainer.fleet
+        print(
+            f"fleet: halo {fleet.halo_bytes / 2**20:.2f} MiB "
+            f"exchanged, all-reduce "
+            f"{fleet.allreduce_bytes / 2**20:.2f} MiB, "
+            f"sim {fleet.sim_time_s * 1e3:.2f} ms"
+        )
+    feature_cache = trainer.feature_cache
     if feature_cache is not None:
         print(
             f"feature-cache hit rate: {feature_cache.hit_rate:.1%}"
             f"  ({feature_cache.hits} hits,"
             f" {feature_cache.misses} misses)"
         )
-    store = getattr(trainer, "store", None)
+    store = trainer.store
     if store is not None:
         print(
             f"feature store: hot-cache hit rate {store.hot_hit_rate:.1%}"

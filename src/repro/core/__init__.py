@@ -11,7 +11,10 @@ Components map one-to-one to the paper's §IV design:
 * :mod:`scheduler` — BuffaloScheduler, Algorithm 3.
 * :mod:`microbatch` — micro-batch generation from bucket groups.
 * :mod:`trainer` — Algorithm 2 training with gradient accumulation.
-* :mod:`api` — the high-level :class:`BuffaloTrainer` facade.
+* :mod:`split_parallel` — the ``split`` placement policy for device
+  fleets (partitioned features, joint (K, N) placement, halo pricing).
+* :mod:`api` — :class:`BuffaloTrainer`, the one trainer over a fleet of
+  N >= 1 devices.
 """
 
 from repro.core.fastblock import generate_blocks_fast
@@ -30,14 +33,8 @@ from repro.core.trainer import (
     TrainResult,
 )
 from repro.core.symbolic import SymbolicResult, SymbolicTrainer
-from repro.core.api import BuffaloTrainer
-from repro.core.distributed import (
-    DataParallelBuffaloTrainer,
-    DistributedIteration,
-)
+from repro.core.api import BuffaloTrainer, IterationReport
 from repro.core.split_parallel import (
-    SplitIteration,
-    SplitParallelBuffaloTrainer,
     SplitPlacement,
     ensure_group_count,
     partition_nodes,
@@ -61,11 +58,8 @@ __all__ = [
     "SymbolicTrainer",
     "SymbolicResult",
     "BuffaloTrainer",
-    "DataParallelBuffaloTrainer",
-    "DistributedIteration",
+    "IterationReport",
     "GradientContributions",
-    "SplitParallelBuffaloTrainer",
-    "SplitIteration",
     "SplitPlacement",
     "partition_nodes",
     "plan_placement",

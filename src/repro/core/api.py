@@ -1,4 +1,4 @@
-"""High-level Buffalo facade.
+"""High-level Buffalo facade: the one trainer, over a fleet of N >= 1.
 
 Wires the full online pipeline of Fig. 6 for one training iteration:
 
@@ -6,36 +6,52 @@ Wires the full online pipeline of Fig. 6 for one training iteration:
 2. generate the batch's blocks with the fast generator;
 3. run the Buffalo scheduler (bucketize, split, group) under the memory
    constraint;
-4. materialize micro-batches (fast block generation per group);
-5. train with gradient accumulation (Algorithm 2).
+4. place the bucket groups on the fleet's devices (the ``data`` or
+   ``split`` placement policy; trivial on one device);
+5. materialize micro-batches (fast block generation per group) and
+   train them with gradient accumulation (Algorithm 2) through the
+   staged engine, then reduce once and step every replica.
 
 All phases are profiled with the Fig. 11 phase names.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.fastblock import generate_blocks_fast
-from repro.core.microbatch import MicroBatch, generate_micro_batches
+from repro.core.microbatch import MicroBatch
 from repro.core.scheduler import BuffaloScheduler, SchedulePlan
+from repro.core.split_parallel import (
+    ShardStager,
+    SplitPlacement,
+    ensure_group_count,
+    partition_nodes,
+    plan_placement,
+)
 from repro.core.trainer import MicroBatchTrainer, TrainResult
 from repro.datasets.catalog import Dataset
 from repro.device.device import SimulatedGPU
 from repro.device.feature_cache import FeatureCache
+from repro.device.fleet import DeviceFleet
 from repro.device.profiler import Profiler
-from repro.errors import SchedulingError
-from repro.gnn.footprint import ModelSpec
+from repro.errors import (
+    DeviceOutOfMemoryError,
+    ReproError,
+    SchedulingError,
+)
+from repro.gnn.footprint import ModelSpec, input_feature_bytes
 from repro.gnn.gat import GAT
 from repro.gnn.gcn import GCN
 from repro.gnn.sage import GraphSAGE
 from repro.graph.sampling import SampledBatch, sample_batch
 from repro.kernels.dispatch import use_kernel_backend
-from repro.nn.optim import Adam, Optimizer
+from repro.nn.optim import Adam
 from repro.obs.estimator import EstimatorTelemetry
-from repro.obs.metrics import SMALL_COUNT_BUCKETS, get_metrics
+from repro.obs.metrics import BYTE_BUCKETS, SMALL_COUNT_BUCKETS, get_metrics
 from repro.obs.trace import get_tracer
 from repro.pipeline.engine import (
     PipelineConfig,
@@ -78,13 +94,40 @@ def build_model(spec: ModelSpec, *, rng: int = 0):
 
 @dataclass
 class IterationReport:
-    """Everything one Buffalo iteration produced."""
+    """Everything one Buffalo iteration produced, on a fleet of N >= 1.
+
+    Attributes:
+        result: loss, per-micro-batch device peaks (schedule order) and
+            the phase profiler.
+        plan: the executed schedule (regrouped to K >= N by the
+            ``split`` policy when Algorithm 3 returned fewer groups).
+        pipeline: per-micro-batch stage timings of the staged engine.
+        assignments: device index of each bucket group, schedule order.
+        per_device_peaks: worst micro-batch peak on each device.
+        sim_time_s: the fleet clock after this iteration (slowest
+            device plus all-reduce barriers).
+        comm_time_s: simulated seconds of this iteration's gradient
+            all-reduce (0 on one device).
+        halo_bytes / halo_exchange_s: cross-partition feature traffic
+            of this iteration (``split`` policy, N > 1; else 0).
+        allreduce_bytes: gradient bytes all-reduced (0 on one device).
+        placement: the ``split`` policy's joint (K, N) placement record
+            (``None`` under the ``data`` policy).
+    """
 
     result: TrainResult
     plan: SchedulePlan
     micro_batches: list[MicroBatch]
     batch: SampledBatch
-    pipeline: PipelineReport | None = None
+    pipeline: PipelineReport
+    assignments: list[int]
+    per_device_peaks: list[int]
+    sim_time_s: float
+    comm_time_s: float = 0.0
+    halo_bytes: int = 0
+    halo_exchange_s: float = 0.0
+    allreduce_bytes: int = 0
+    placement: SplitPlacement | None = None
 
     @property
     def n_micro_batches(self) -> int:
@@ -92,19 +135,32 @@ class IterationReport:
 
 
 class BuffaloTrainer:
-    """End-to-end Buffalo training on a dataset.
+    """End-to-end Buffalo training on a dataset — the only trainer.
 
     Args:
         dataset: a loaded :class:`~repro.datasets.catalog.Dataset`.
         spec: model description; ``spec.in_dim`` must equal the dataset's
             feature width.
-        device: simulated GPU supplying the memory constraint.
+        device: a :class:`~repro.device.device.SimulatedGPU` (the N = 1
+            fleet) or a :class:`~repro.device.fleet.DeviceFleet`; every
+            device holds an identically initialized model replica and
+            supplies the per-micro-batch memory constraint.
         fanouts: per-layer sampling sizes, output layer first (these are
             also the bucketing cut-offs, as in the paper).
         memory_constraint: per-micro-batch byte budget; defaults to 90%
-            of the device capacity (headroom for parameters/optimizer).
-        optimizer: optional custom optimizer (default Adam, lr=1e-3).
+            of one device's capacity (headroom for parameters/optimizer).
+        lr: Adam learning rate (one optimizer per replica).
         seed: RNG seed for sampling and model init.
+        parallel: placement policy — where a bucket group runs and what
+            staging its input rows costs (docs/distributed.md).
+            ``"data"``: group ``i`` runs on device ``i mod N``, features
+            live on the host and cross host->device per micro-batch.
+            ``"split"``: the feature matrix is partitioned across the
+            devices; groups are placed by estimated load
+            (:func:`~repro.core.split_parallel.plan_placement`), owned
+            rows are read from the local shard and halo rows cross the
+            interconnect.  Gradients are bit-for-bit identical under
+            either policy at any N.
         pipeline_depth: prefetch-queue depth of the staged execution
             engine; ``1`` (the default) keeps the strictly sequential
             Algorithm 2 schedule.  Any depth yields bit-identical
@@ -113,7 +169,9 @@ class BuffaloTrainer:
             :class:`~repro.pipeline.engine.PipelineConfig`).
         reuse_features: pin feature rows that consecutive bucket groups
             both request in a device-resident cache, so they cross PCIe
-            once per iteration instead of once per group.
+            once per iteration instead of once per group.  A
+            single-device, host-transfer staging policy: rejected on
+            more than one device and under ``parallel="split"``.
         feature_cache_bytes: byte budget of the reuse cache; defaults
             to 10% of the device capacity.
         store_prefetch: when the dataset's features are served by an
@@ -134,21 +192,28 @@ class BuffaloTrainer:
         kernel_calibration: path to an autotuned dispatch calibration
             file (``repro bench kernels --tune``); ``None`` keeps the
             backend's per-host default resolution.
+
+    Attributes:
+        fleet: the device fleet (``DeviceFleet.of(device)`` for a bare
+            GPU); ``device``, ``model`` and ``optimizer`` are replica
+            0's, by convention.
+        trainers: one :class:`~repro.core.trainer.MicroBatchTrainer`
+            per device.
     """
 
     def __init__(
         self,
         dataset: Dataset,
         spec: ModelSpec,
-        device: SimulatedGPU,
+        device: SimulatedGPU | DeviceFleet,
         fanouts: list[int],
         *,
         memory_constraint: float | None = None,
-        optimizer: Optimizer | None = None,
         lr: float = 1e-3,
         clustering_coefficient: float | None = None,
         seed: int = 0,
         k_max: int = 128,
+        parallel: str = "data",
         pipeline_depth: int = 1,
         pipeline_mode: str = "auto",
         reuse_features: bool = False,
@@ -169,13 +234,33 @@ class BuffaloTrainer:
                 f"need one fanout per layer: got {len(fanouts)} fanouts "
                 f"for {spec.n_layers} layers"
             )
+        if parallel not in ("data", "split"):
+            raise ReproError(
+                f"parallel must be 'data' or 'split', got {parallel!r}"
+            )
+        fleet = (
+            device
+            if isinstance(device, DeviceFleet)
+            else DeviceFleet.of(device)
+        )
+        # The one rule about what does not compose: the reuse cache
+        # lives on a single device and prices host->device transfers.
+        if reuse_features and (fleet.n_devices > 1 or parallel == "split"):
+            raise ReproError(
+                f"reuse_features does not compose with "
+                f"{fleet.n_devices} device(s) under parallel="
+                f"{parallel!r}: the reuse cache is a single-device "
+                f"host-transfer staging policy"
+            )
         self.dataset = dataset
         self.spec = spec
-        self.device = device
+        self.fleet = fleet
+        self.device = fleet.devices[0]
+        self.parallel = parallel
         self.fanouts = list(fanouts)
         self.seed = seed
+        capacity = self.device.capacity or 0
         if memory_constraint is None:
-            capacity = device.capacity or 0
             memory_constraint = 0.9 * capacity if capacity else float("inf")
         if clustering_coefficient is None:
             clustering_coefficient = dataset.stats(
@@ -188,21 +273,35 @@ class BuffaloTrainer:
             clustering_coefficient=clustering_coefficient,
             k_max=k_max,
         )
-        self.model = build_model(spec, rng=seed)
-        self.optimizer = optimizer or Adam(self.model.parameters(), lr=lr)
-        self.trainer = MicroBatchTrainer(
-            self.model, spec, self.optimizer, device,
+
+        def replica(member: SimulatedGPU, **kernel) -> MicroBatchTrainer:
+            # Identical initialization on every replica.
+            model = build_model(spec, rng=seed)
+            return MicroBatchTrainer(
+                model, spec, Adam(model.parameters(), lr=lr), member, **kernel
+            )
+
+        # Kernel backends are singletons: replica 0 resolves and
+        # configures the instance every later replica shares.
+        first = replica(
+            fleet.devices[0],
             kernel_backend=kernel_backend,
             kernel_threads=kernel_threads,
             kernel_calibration=kernel_calibration,
         )
+        self.trainers = [first] + [
+            replica(member, kernel_backend=first.kernel)
+            for member in fleet.devices[1:]
+        ]
+        self.model = first.model
+        self.optimizer = first.optimizer
         self.pipeline_config = PipelineConfig(
             depth=pipeline_depth, mode=pipeline_mode
         )
-        self.engine = PipelineEngine(self.trainer, self.pipeline_config)
-        # depth 1 + auto keeps the legacy (strictly sequential) path;
-        # any explicit mode, or depth > 1, routes through the engine.
-        self.use_pipeline = pipeline_depth > 1 or pipeline_mode != "auto"
+        self.engine = PipelineEngine(self.trainers, self.pipeline_config)
+        # Per-device staging price (the trainers' ``reuse`` hook): empty
+        # = host->device transfer, the reuse cache, or under the split
+        # policy shard reads + halo exchange.  The math is untouched.
         self.feature_cache: FeatureCache | None = None
         self.reuse: FeatureReuseManager | None = None
         if reuse_features:
@@ -210,15 +309,25 @@ class BuffaloTrainer:
                 dataset.feat_dim * dataset.features.dtype.itemsize
             )
             if feature_cache_bytes is None:
-                capacity = device.capacity or 0
                 feature_cache_bytes = (
                     int(0.1 * capacity) if capacity else 64 << 20
                 )
             feature_cache_bytes = max(feature_cache_bytes, feat_bytes)
             self.feature_cache = FeatureCache(
-                device, feat_bytes, feature_cache_bytes
+                self.device, feat_bytes, feature_cache_bytes
             )
             self.reuse = FeatureReuseManager(self.feature_cache)
+            first.reuse = self.reuse
+        self.owner: np.ndarray | None = None
+        if parallel == "split":
+            self.owner = partition_nodes(
+                dataset.graph.n_nodes, fleet.n_devices
+            )
+            row_bytes = input_feature_bytes(1, dataset.feat_dim)
+            for d, trainer in enumerate(self.trainers):
+                trainer.reuse = ShardStager(
+                    fleet, d, self.owner, row_bytes
+                )
         # Out-of-core datasets expose their features as a FeatureStore;
         # the schedule-aware prefetcher overlaps its shard reads with
         # compute, one bucket group ahead of the trainer.
@@ -242,27 +351,30 @@ class BuffaloTrainer:
     def attach_timeline(self, *, max_samples: int = 100_000):
         """Attach a four-tier memory timeline recorder to this trainer.
 
-        Wires the recorder to the device allocation ledger, the
-        out-of-core feature store (when present), the feature-reuse
-        cache (when enabled), and the kernel workspace arena; the
-        micro-batch trainer samples after every micro-batch.  Returns
-        the recorder.
+        Wires the recorder to the fleet's allocation ledgers
+        (``live_bytes`` = sum over devices, ``peak_bytes`` = worst
+        single device), the out-of-core feature store (when present),
+        the feature-reuse cache (when enabled), and the kernel
+        workspace arena; every replica samples after each of its
+        micro-batches.  Returns the recorder.
         """
         from repro.obs.observatory.timeline import MemoryTimelineRecorder
 
         self.timeline = MemoryTimelineRecorder(
-            device=self.device,
+            device=self.fleet,
             store=self.store,
             cache=self.feature_cache,
-            workspace=getattr(self.trainer.kernel, "workspace", None),
+            workspace=getattr(self.trainers[0].kernel, "workspace", None),
             max_samples=max_samples,
         )
-        self.trainer.timeline = self.timeline
+        for trainer in self.trainers:
+            trainer.timeline = self.timeline
         return self.timeline
 
     def detach_timeline(self) -> None:
         self.timeline = None
-        self.trainer.timeline = None
+        for trainer in self.trainers:
+            trainer.timeline = None
 
     # ------------------------------------------------------------------
     def _plan_batch(
@@ -271,54 +383,79 @@ class BuffaloTrainer:
         *,
         profiler: Profiler | None = None,
     ):
-        """Sample one batch and schedule it (no micro-batch generation)."""
-        profiler = profiler or Profiler()
-        if seeds is None:
-            seeds = self.dataset.train_nodes
-
-        with use_kernel_backend(self.trainer.kernel):
-            return self._plan_batch_inner(seeds, profiler)
-
-    def _plan_batch_inner(self, seeds, profiler):
-        """Body of :meth:`_plan_batch`, with the kernel backend active.
+        """Sample one batch and schedule it (no micro-batch generation).
 
         The Eq. 1-2 estimator consults the active backend's footprint
-        formulas (fused retains less), so scheduling must run under the
+        formulas (fused retains less), so scheduling runs under the
         same backend the trainer executes with — otherwise K and the
         group boundaries would be planned for the wrong live set.
         """
-        with profiler.phase("sampling") as span:
-            batch = sample_batch(
-                self.dataset.graph,
-                seeds,
-                self.fanouts,
-                rng=self.seed + self._iteration,
-            )
-            span.set_attrs(
-                {"n_seeds": batch.n_seeds, "n_layers": len(self.fanouts)}
-            )
-        with profiler.phase("block_generation") as span:
-            blocks = generate_blocks_fast(batch)
-            span.set_attr("n_input", blocks[0].n_src)
-        with profiler.phase("buffalo_scheduling") as span:
-            plan = self.scheduler.schedule(batch, blocks)
-            span.set_attrs({"k": plan.k, "split": plan.split_applied})
+        profiler = profiler or Profiler()
+        if seeds is None:
+            seeds = self.dataset.train_nodes
+        with use_kernel_backend(self.trainers[0].kernel):
+            with profiler.phase("sampling") as span:
+                batch = sample_batch(
+                    self.dataset.graph,
+                    seeds,
+                    self.fanouts,
+                    rng=self.seed + self._iteration,
+                )
+                span.set_attrs(
+                    {"n_seeds": batch.n_seeds, "n_layers": len(self.fanouts)}
+                )
+            with profiler.phase("block_generation") as span:
+                blocks = generate_blocks_fast(batch)
+                span.set_attr("n_input", blocks[0].n_src)
+            with profiler.phase("buffalo_scheduling") as span:
+                plan = self.scheduler.schedule(batch, blocks)
+                span.set_attrs({"k": plan.k, "split": plan.split_applied})
         return batch, blocks, plan, profiler
 
-    def prepare(
-        self,
-        seeds: np.ndarray | None = None,
-        *,
-        profiler: Profiler | None = None,
-    ) -> tuple[SampledBatch, SchedulePlan, list[MicroBatch], Profiler]:
-        """Sample, schedule, and materialize micro-batches for one batch."""
-        batch, _blocks, plan, profiler = self._plan_batch(
-            seeds, profiler=profiler
-        )
-        with profiler.phase("block_generation") as span:
-            micro_batches = generate_micro_batches(batch, plan)
-            span.set_attr("n_micro_batches", len(micro_batches))
-        return batch, plan, micro_batches, profiler
+    def _place(self, batch, blocks, plan, profiler):
+        """Apply the placement policy to a scheduled batch.
+
+        Returns ``(plan, input_sets, assignments, placement)``: the plan
+        (regrouped to K >= N by the split policy if need be), the
+        groups' *global* input node sets in schedule order (computed
+        once for every consumer; ``None`` when there is none), the
+        group -> device assignment, and the split policy's placement
+        record (``None`` under ``data``).
+        """
+        n_devices = self.fleet.n_devices
+        constraint = self.scheduler.memory_constraint
+        regrouped = False
+        if self.parallel == "split":
+            with profiler.phase("buffalo_scheduling"):
+                plan, regrouped = ensure_group_count(
+                    plan, n_devices, constraint
+                )
+        input_sets = None
+        if (
+            self.parallel == "split"
+            or self.reuse is not None
+            or self.prefetcher is not None
+        ):
+            input_sets = [
+                batch.node_map[s] for s in plan.input_node_sets(blocks)
+            ]
+        if self.parallel == "data":
+            assignments = [i % n_devices for i in range(plan.k)]
+            return plan, input_sets, assignments, None
+        with profiler.phase("placement"), get_tracer().span(
+            "split.placement", {"k": plan.k, "n_devices": n_devices}
+        ) as span:
+            placement = plan_placement(
+                plan, input_sets, n_devices, constraint, self.owner
+            )
+            placement.regrouped = regrouped
+            span.set_attrs(
+                {
+                    "regrouped": regrouped,
+                    "halo_rows": placement.halo_bytes_estimate,
+                }
+            )
+        return plan, input_sets, placement.assignments, placement
 
     def run_iteration(
         self,
@@ -328,9 +465,17 @@ class BuffaloTrainer:
     ) -> IterationReport:
         """One full online-training iteration (Fig. 6 pipeline).
 
+        Plan (sample -> blocks -> schedule -> place), execute the groups
+        in schedule order through the staged engine — each on its
+        assigned device's replica, all recording into one shared
+        schedule-order gradient reduction that every replica installs
+        before stepping — then price one gradient all-reduce on the
+        fleet clock (0 s on one device) and check the replicas are
+        still bit-identical.
+
         OOM resilience: the memory estimator is analytical, so a group
         can occasionally exceed its estimate during concrete execution.
-        When the device raises OOM mid-iteration, the scheduler's
+        When a device raises OOM mid-iteration, the scheduler's
         constraint is tightened by 25% and the iteration is re-planned
         and retried (up to ``max_oom_retries`` times) — the same
         fallback a production system performs.  The tightened
@@ -340,12 +485,11 @@ class BuffaloTrainer:
         Raises:
             DeviceOutOfMemoryError: when retries are exhausted.
         """
-        from repro.errors import DeviceOutOfMemoryError
-
         cutoffs = list(reversed(self.fanouts))
         last_oom: DeviceOutOfMemoryError | None = None
         tracer = get_tracer()
         metrics = get_metrics()
+        fleet = self.fleet
         if self.timeline is not None:
             self.timeline.begin_iteration(self._iteration)
         for attempt in range(max_oom_retries + 1):
@@ -355,6 +499,9 @@ class BuffaloTrainer:
             ) as iter_span:
                 try:
                     batch, blocks, plan, profiler = self._plan_batch(seeds)
+                    plan, input_sets, assignments, placement = self._place(
+                        batch, blocks, plan, profiler
+                    )
                 except SchedulingError:
                     # A tightened constraint can become unschedulable;
                     # that is the same terminal condition as the OOM
@@ -363,58 +510,32 @@ class BuffaloTrainer:
                         raise last_oom
                     raise
                 oom_info: tuple[int, int, int] | None = None
-                micro_batches: list[MicroBatch] = []
-                pipeline_report: PipelineReport | None = None
-                reuse_active = False
-                prefetch_active = False
+                halo_before = fleet.halo_bytes
+                exchange_before = fleet.exchange_time_s
+                allreduce_before = fleet.allreduce_bytes
                 try:
                     if self.reuse is not None:
-                        local_sets = plan.input_node_sets(blocks)
-                        self.reuse.begin_iteration(
-                            [batch.node_map[s] for s in local_sets]
-                        )
-                        self.trainer.reuse = self.reuse
-                        reuse_active = True
+                        self.reuse.begin_iteration(input_sets)
                     if self.prefetcher is not None:
-                        local_sets = plan.input_node_sets(blocks)
-                        self.prefetcher.begin_iteration(
-                            [batch.node_map[s] for s in local_sets]
-                        )
-                        prefetch_active = True
-                    if self.use_pipeline:
-                        result, micro_batches, pipeline_report = (
-                            self.engine.run(
-                                self.dataset,
-                                batch,
-                                plan,
-                                cutoffs,
-                                profiler=profiler,
-                            )
-                        )
-                    else:
-                        with profiler.phase("block_generation") as span:
-                            micro_batches = generate_micro_batches(
-                                batch, plan
-                            )
-                            span.set_attr(
-                                "n_micro_batches", len(micro_batches)
-                            )
-                        result = self.trainer.train_iteration(
+                        self.prefetcher.begin_iteration(input_sets)
+                    result, micro_batches, pipeline_report = (
+                        self.engine.run(
                             self.dataset,
-                            batch.node_map,
-                            micro_batches,
+                            batch,
+                            plan,
                             cutoffs,
+                            assignments=assignments,
                             profiler=profiler,
                         )
+                    )
                 except DeviceOutOfMemoryError as exc:
                     if attempt == max_oom_retries:
                         raise
                     oom_info = (exc.requested, exc.live, exc.capacity)
                 finally:
-                    if reuse_active:
+                    if self.reuse is not None:
                         self.reuse.end_iteration()
-                        self.trainer.reuse = None
-                    if prefetch_active:
+                    if self.prefetcher is not None:
                         self.prefetcher.end_iteration()
                 if oom_info is None:
                     iter_span.set_attrs(
@@ -429,21 +550,20 @@ class BuffaloTrainer:
                 # its traceback, which pins the failed iteration's
                 # activation graph in the device ledger) is released.
                 last_oom = DeviceOutOfMemoryError(*oom_info)
-                del batch, blocks, plan, micro_batches, profiler
-                import gc
-
+                del batch, blocks, plan, input_sets, placement, profiler
                 gc.collect()
                 if self.feature_cache is not None:
                     # Release cached rows: the retry recomputes the
                     # constraint from the device's real headroom, and
                     # resident cache bytes would distort it.
                     self.feature_cache.clear()
-                # Snap to the device's real headroom (minus resident
-                # parameters), then keep shaving 25% per further OOM.
+                # Snap to the tightest device's real headroom (minus
+                # resident parameters), then keep shaving 25% per
+                # further OOM.
                 tightened = 0.75 * self.scheduler.memory_constraint
                 if self.device.capacity:
-                    headroom = 0.85 * (
-                        self.device.capacity - self.device.live_bytes
+                    headroom = 0.85 * min(
+                        d.capacity - d.live_bytes for d in fleet.devices
                     )
                     tightened = min(tightened, headroom)
                 self.scheduler.memory_constraint = max(tightened, 1.0)
@@ -452,18 +572,27 @@ class BuffaloTrainer:
                     help="iterations re-planned after device OOM",
                 ).inc()
                 continue
-            metrics.counter(
-                "buffalo.iterations", help="completed training iterations"
-            ).inc()
-            metrics.histogram(
-                "buffalo.micro_batches_per_iter",
-                SMALL_COUNT_BUCKETS,
-                help="K (micro-batches) per iteration",
-            ).observe(plan.k)
-            metrics.gauge(
-                "buffalo.peak_mem_bytes",
-                help="device peak bytes of the last iteration",
-            ).set(result.peak_bytes)
+            comm_s = fleet.allreduce(self.spec.param_bytes())
+            self._verify_sync()
+            per_device_peaks = [0] * fleet.n_devices
+            for d, peak in zip(assignments, result.micro_batch_peaks):
+                per_device_peaks[d] = max(per_device_peaks[d], peak)
+            report = IterationReport(
+                result=result,
+                plan=plan,
+                micro_batches=micro_batches,
+                batch=batch,
+                pipeline=pipeline_report,
+                assignments=assignments,
+                per_device_peaks=per_device_peaks,
+                sim_time_s=fleet.sim_time_s,
+                comm_time_s=comm_s,
+                halo_bytes=fleet.halo_bytes - halo_before,
+                halo_exchange_s=fleet.exchange_time_s - exchange_before,
+                allreduce_bytes=fleet.allreduce_bytes - allreduce_before,
+                placement=placement,
+            )
+            self._record_metrics(report)
             self.telemetry.record_iteration(
                 self._iteration,
                 plan.estimated_bytes,
@@ -472,14 +601,63 @@ class BuffaloTrainer:
             if self.timeline is not None:
                 self.timeline.sample("iteration_end")
             self._iteration += 1
-            return IterationReport(
-                result=result,
-                plan=plan,
-                micro_batches=micro_batches,
-                batch=batch,
-                pipeline=pipeline_report,
-            )
+            return report
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def _record_metrics(self, report: IterationReport) -> None:
+        metrics = get_metrics()
+        metrics.counter(
+            "buffalo.iterations", help="completed training iterations"
+        ).inc()
+        metrics.histogram(
+            "buffalo.micro_batches_per_iter",
+            SMALL_COUNT_BUCKETS,
+            help="K (micro-batches) per iteration",
+        ).observe(report.plan.k)
+        metrics.gauge(
+            "buffalo.peak_mem_bytes",
+            help="device peak bytes of the last iteration",
+        ).set(report.result.peak_bytes)
+        metrics.gauge(
+            "buffalo.device.count", help="devices in the training fleet"
+        ).set(self.fleet.n_devices)
+        peaks = metrics.histogram(
+            "buffalo.device.peak_bytes",
+            BYTE_BUCKETS,
+            help="per-device peak bytes per iteration",
+        )
+        for peak in report.per_device_peaks:
+            peaks.observe(peak)
+        metrics.counter(
+            "buffalo.device.halo_bytes",
+            help="halo feature bytes exchanged across partitions",
+        ).inc(report.halo_bytes)
+        metrics.counter(
+            "buffalo.device.allreduce_bytes",
+            help="gradient bytes all-reduced across the fleet",
+        ).inc(report.allreduce_bytes)
+        metrics.counter(
+            "buffalo.device.halo_exchange_s",
+            help="simulated seconds of halo-feature exchange",
+        ).inc(report.halo_exchange_s)
+        metrics.counter(
+            "buffalo.device.allreduce_s",
+            help="simulated seconds of gradient all-reduce",
+        ).inc(report.comm_time_s)
+
+    def _verify_sync(self) -> None:
+        """Replicas must stay bit-identical after each step."""
+        others = self.trainers[1:]
+        if not others:
+            return
+        reference = self.model.state_dict()
+        for trainer in others:
+            state = trainer.model.state_dict()
+            for key, value in reference.items():
+                if not np.array_equal(value, state[key]):
+                    raise ReproError(
+                        f"replica desynchronized at parameter {key}"
+                    )
 
     def train_epochs(
         self, n_iterations: int, seeds: np.ndarray | None = None

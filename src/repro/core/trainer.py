@@ -49,8 +49,8 @@ from repro.tensor.tensor import Tensor
 class GradientContributions:
     """Schedule-order gradient reduction — the parity-defining semantics.
 
-    Every trainer (single-device, data-parallel, split-parallel) zeroes
-    gradients before each micro-batch, records the micro-batch's
+    Every replica of a device fleet (N >= 1, either placement policy)
+    zeroes gradients before each micro-batch, records the micro-batch's
     contribution here tagged with its *schedule index*, and reduces by
     summing contributions in ascending index order::
 
@@ -253,10 +253,20 @@ class MicroBatchTrainer:
         return Tensor(features, device=self.device)
 
     # ------------------------------------------------------------------
-    def begin_iteration(self) -> None:
-        """Zero gradients and reset the device peak for a new iteration."""
+    def begin_iteration(
+        self, contributions: GradientContributions | None = None
+    ) -> None:
+        """Zero gradients and reset the device peak for a new iteration.
+
+        ``contributions`` lets the replicas of a device fleet record
+        into one shared set keyed by global schedule index, so the
+        reduction is the canonical single-device one regardless of
+        which device ran which micro-batch.
+        """
         self.model.zero_grad()
-        self._contributions = GradientContributions()
+        self._contributions = (
+            GradientContributions() if contributions is None else contributions
+        )
         if self.device is not None:
             self.device.reset_peak()
 
@@ -341,10 +351,16 @@ class MicroBatchTrainer:
         micro_batch_peaks: list[int],
         n_micro_batches: int,
         profiler: Profiler,
+        *,
+        reduced: list | None = None,
     ) -> TrainResult:
-        """One optimizer step over the schedule-order-reduced gradients."""
+        """One optimizer step over the schedule-order-reduced gradients.
+
+        ``reduced`` is a reduction already computed from the (shared)
+        contributions; each replica installs its own copy of it.
+        """
         if self._contributions.n_recorded:
-            self._contributions.apply(self.model.parameters())
+            self._contributions.apply(self.model.parameters(), reduced)
         with profiler.phase("optimizer_step"):
             self.optimizer.step()
 

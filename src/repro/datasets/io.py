@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.datasets.catalog import Dataset, DatasetSpec, PaperStats
 from repro.errors import DatasetError
 from repro.graph.csr import CSRGraph
@@ -37,9 +38,9 @@ from repro.graph.csr import CSRGraph
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
     """Write a dataset (graph, features, labels, split, spec) to disk.
 
-    The write goes through ``<path>.tmp`` + ``os.replace`` in the target
-    directory, so a crash mid-save leaves the previous file (or nothing)
-    rather than a truncated archive.
+    The write goes through :func:`repro.atomic.atomic_write`, so a crash
+    mid-save leaves the previous file (or nothing) rather than a
+    truncated archive.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -58,12 +59,9 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
             "dataset_n_classes": dataset.n_classes,
         }
     )
-    # np.savez appends ".npz" to names lacking it; write with an explicit
-    # .npz temp suffix so the rename source is exactly what was written.
-    tmp = path.with_name(path.name + ".tmp.npz")
-    try:
+    with atomic_write(path) as tmp, open(tmp, "wb") as fh:
         np.savez_compressed(
-            tmp,
+            fh,
             indptr=dataset.graph.indptr,
             indices=dataset.graph.indices,
             features=np.asarray(dataset.features),
@@ -73,10 +71,6 @@ def save_dataset(path: str | Path, dataset: Dataset) -> None:
             test_nodes=dataset.test_nodes,
             spec=np.frombuffer(spec_json.encode(), dtype=np.uint8),
         )
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
 
 
 def load_dataset(path: str | Path) -> Dataset:

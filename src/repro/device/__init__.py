@@ -20,7 +20,7 @@ is exceeded, reproducing CUDA OOM semantics.
 """
 
 from repro.device.memory import MemoryTracker
-from repro.device.device import MultiGPU, SimulatedGPU
+from repro.device.device import SimulatedGPU
 from repro.device.costmodel import (
     A100_80GB,
     DeviceSpec,
@@ -40,7 +40,6 @@ __all__ = [
     "FeatureCache",
     "MemoryTracker",
     "SimulatedGPU",
-    "MultiGPU",
     "DeviceFleet",
     "DeviceSpec",
     "GPUSpec",

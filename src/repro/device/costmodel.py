@@ -66,10 +66,8 @@ A100_80GB = GPUSpec(
 class DeviceSpec:
     """One device of a fleet: a GPU plus its inter-device link.
 
-    Historically the inter-GPU link was described by a bare bandwidth
-    number and a latency constant hardcoded inside
-    :meth:`~repro.device.device.MultiGPU.allreduce`; both now live here
-    so collectives and halo exchanges price messages consistently.
+    The link's bandwidth and per-message latency live here so that
+    collectives and halo exchanges price messages consistently.
 
     Attributes:
         gpu: the compute/memory/PCIe constants of the device itself.

@@ -1,4 +1,4 @@
-"""The simulated GPU and a data-parallel multi-GPU wrapper."""
+"""The simulated GPU: a memory budget, an allocation ledger, a clock."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.device.costmodel import GPUSpec, RTX6000_24GB, kernel_time, transfer_time
 from repro.device.memory import MemoryTracker
-from repro.errors import DeviceError
 
 
 class SimulatedGPU:
@@ -94,42 +93,3 @@ class SimulatedGPU:
         cap = self.capacity
         cap_str = f"{cap / 2**30:.0f}GiB" if cap else "unlimited"
         return f"SimulatedGPU({self.name}, capacity={cap_str})"
-
-
-def _fleet_cls():
-    # Deferred: fleet.py imports SimulatedGPU from this module.
-    from repro.device.fleet import DeviceFleet
-
-    return DeviceFleet
-
-
-class MultiGPU:
-    """Data-parallel group of simulated GPUs connected by PCIe.
-
-    Models the paper's §V-G setup: micro-batches are distributed across
-    devices; after each round the gradient all-reduce costs one
-    parameter-sized transfer per ring step over the inter-GPU link.
-
-    A thin facade over :class:`~repro.device.fleet.DeviceFleet` kept
-    for its historical constructor signature; the link latency that
-    used to be hardcoded here (``20e-6``) now comes from the fleet's
-    :class:`~repro.device.costmodel.DeviceSpec`.
-    """
-
-    def __new__(
-        cls,
-        n_devices: int,
-        capacity_bytes: int | None = None,
-        *,
-        spec: GPUSpec = RTX6000_24GB,
-        interconnect_bandwidth: float | None = None,
-        interconnect_latency_s: float | None = None,
-    ):
-        fleet = _fleet_cls()(
-            n_devices,
-            capacity_bytes,
-            spec=spec,
-            interconnect_bandwidth=interconnect_bandwidth,
-            interconnect_latency_s=interconnect_latency_s,
-        )
-        return fleet

@@ -1,8 +1,9 @@
 """A fleet of simulated GPUs joined by a modeled interconnect.
 
-:class:`DeviceFleet` generalizes the data-parallel ``MultiGPU`` pair of
-clocks (per-device compute + shared all-reduce) into the substrate
-split-parallel training needs:
+:class:`DeviceFleet` is the device substrate of every Buffalo trainer
+(a single GPU is the N = 1 fleet, :meth:`DeviceFleet.of`): per-device
+compute clocks plus the interconnect both placement policies price
+their traffic on:
 
 * **per-device memory ledgers** — every member is a full
   :class:`~repro.device.device.SimulatedGPU` with its own capacity,
@@ -43,10 +44,9 @@ class DeviceFleet:
         capacity_bytes: per-device memory budget — a single int applied
             to every device, a sequence of per-device ints, or ``None``
             for each device's spec capacity.
-        spec: the fleet's :class:`DeviceSpec`; a bare :class:`GPUSpec`
-            is accepted and wrapped (PCIe-peered, default latency).
-        interconnect_bandwidth / interconnect_latency_s: overrides
-            applied on top of ``spec`` (kept for ``MultiGPU`` compat).
+        spec: the fleet's :class:`DeviceSpec` (GPU + interconnect
+            bandwidth and latency); a bare :class:`GPUSpec` is accepted
+            and wrapped (PCIe-peered, default latency).
     """
 
     def __init__(
@@ -55,30 +55,11 @@ class DeviceFleet:
         capacity_bytes: int | list[int] | None = None,
         *,
         spec: DeviceSpec | GPUSpec = PCIE_RTX6000,
-        interconnect_bandwidth: float | None = None,
-        interconnect_latency_s: float | None = None,
     ) -> None:
         if n_devices < 1:
             raise DeviceError(f"need at least 1 device, got {n_devices}")
         if isinstance(spec, GPUSpec):
             spec = DeviceSpec(gpu=spec)
-        if (
-            interconnect_bandwidth is not None
-            or interconnect_latency_s is not None
-        ):
-            spec = DeviceSpec(
-                gpu=spec.gpu,
-                interconnect_bandwidth=(
-                    interconnect_bandwidth
-                    if interconnect_bandwidth is not None
-                    else spec.interconnect_bandwidth
-                ),
-                interconnect_latency_s=(
-                    interconnect_latency_s
-                    if interconnect_latency_s is not None
-                    else spec.interconnect_latency_s
-                ),
-            )
         self.spec = spec
         if capacity_bytes is None or isinstance(capacity_bytes, int):
             capacities = [capacity_bytes] * n_devices
@@ -100,6 +81,13 @@ class DeviceFleet:
         self.exchange_time_s = 0.0
         self.halo_bytes = 0
         self.per_device_halo_bytes = [0] * n_devices
+
+    @classmethod
+    def of(cls, device: SimulatedGPU) -> "DeviceFleet":
+        """The N = 1 fleet over an existing device (no interconnect use)."""
+        fleet = cls(1, spec=device.spec)
+        fleet.devices = [device]
+        return fleet
 
     # ------------------------------------------------------------------
     @property

@@ -10,9 +10,9 @@ FusedBackend` loads at construction.
 
 File contract (mirrors the store manifests, docs/kernels.md):
 
-* schema-versioned JSON, written atomically (temp file + ``os.replace``)
-  with a CRC32 of the canonical payload so a torn write is detected,
-  never half-trusted;
+* schema-versioned JSON, written atomically
+  (:func:`repro.atomic.atomic_write`) with a CRC32 of the canonical
+  payload so a torn write is detected, never half-trusted;
 * keyed by a host fingerprint (platform + CPU count + numpy) and the
   kernel backend version — a file tuned on another machine, or against
   an older fused kernel, is *stale* and ignored;
@@ -43,6 +43,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import ReproError
 
 __all__ = [
@@ -193,16 +194,15 @@ def _payload_crc(payload: dict[str, Any]) -> int:
 
 
 def save_calibration(calibration: Calibration, path: str | Path) -> Path:
-    """Atomically write ``calibration`` (CRC last, temp + ``os.replace``)."""
+    """Atomically write ``calibration`` (CRC computed last)."""
     path = Path(path).expanduser()
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = calibration.to_payload()
     payload["crc32"] = _payload_crc(
         {k: v for k, v in payload.items() if k != "crc32"}
     )
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    with atomic_write(path) as tmp:
+        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -13,7 +13,8 @@ producer/consumer pipeline instead:
 * **stage 2 — compute** (caller thread): forward/backward with
   gradient accumulation, device transfer + kernel simulation, exactly
   as :meth:`~repro.core.trainer.MicroBatchTrainer.train_iteration`
-  performs them.
+  performs them, on the device replica the placement assigned the
+  group to.
 
 Queues are depth-limited (``--pipeline-depth``), bounding how far
 preparation may run ahead of compute.  The compute stage consumes
@@ -24,9 +25,14 @@ is bit-for-bit identical to the sequential trainer and convergence
 stays mathematically identical to full-batch training.
 
 ``mode="sync"`` (or ``depth <= 1``) runs the same staged code path
-without threads — fully deterministic, used by the differential tests —
-while still measuring per-stage durations for the analytic overlap
-model in :mod:`repro.pipeline.model`.
+without threads — fully deterministic, op-for-op the sequential
+Algorithm 2 schedule, and the default — while still measuring
+per-stage durations for the analytic overlap model in
+:mod:`repro.pipeline.model`.
+
+This is the one iteration loop of the repo: every
+:class:`~repro.core.api.BuffaloTrainer` iteration, on a fleet of any
+size and under either placement policy, runs through :meth:`run`.
 """
 
 from __future__ import annotations
@@ -40,7 +46,11 @@ import numpy as np
 
 from repro.core.microbatch import MicroBatch, materialize_micro_batch
 from repro.core.scheduler import SchedulePlan
-from repro.core.trainer import MicroBatchTrainer, TrainResult
+from repro.core.trainer import (
+    GradientContributions,
+    MicroBatchTrainer,
+    TrainResult,
+)
 from repro.datasets.catalog import Dataset
 from repro.device.profiler import Profiler
 from repro.errors import ConvergenceError, ReproError
@@ -131,20 +141,22 @@ class PipelineEngine:
     """Drives one training iteration through the staged pipeline.
 
     Args:
-        trainer: the micro-batch trainer whose math is replayed; its
-            ``begin_iteration`` / ``train_micro_batch`` /
-            ``finish_iteration`` decomposition guarantees op-for-op
-            identical accumulation.
+        trainers: one micro-batch trainer per device replica (a single
+            entry for one device); their ``begin_iteration`` /
+            ``train_micro_batch`` / ``finish_iteration`` decomposition
+            guarantees op-for-op identical accumulation.
         config: depth/mode knobs.
     """
 
     def __init__(
-        self, trainer: MicroBatchTrainer, config: PipelineConfig | None = None
+        self,
+        trainers: list[MicroBatchTrainer],
+        config: PipelineConfig | None = None,
     ) -> None:
-        # The staging workers never touch the trainer or config: all
+        # The staging workers never touch the trainers or config: all
         # cross-thread traffic flows through the bounded queues in
         # _staged_threaded, so the engine itself needs no lock.
-        self.trainer = trainer  # guarded-by: consumer-thread (compute stage only)
+        self.trainers = list(trainers)  # guarded-by: consumer-thread (compute stage only)
         self.config = config or PipelineConfig()  # guarded-by: construction-only (read-only knobs)
 
     # ------------------------------------------------------------------
@@ -155,18 +167,31 @@ class PipelineEngine:
         plan: SchedulePlan,
         cutoffs: list[int],
         *,
+        assignments: list[int] | None = None,
         profiler: Profiler | None = None,
     ) -> tuple[TrainResult, list[MicroBatch], PipelineReport]:
         """One full iteration over the plan's groups, pipelined.
 
-        Returns the trainer's :class:`TrainResult`, the micro-batches in
-        schedule order, and the stage-timing report.
+        ``assignments[i]`` is the replica that computes group ``i``
+        (all on replica 0 when omitted).  Groups are consumed in
+        schedule order on the caller thread whatever their placement,
+        every replica records into one shared
+        :class:`~repro.core.trainer.GradientContributions`, and every
+        replica installs the same schedule-order reduction before its
+        optimizer step — so the result is bit-for-bit the single-device
+        one.
+
+        Returns replica 0's :class:`TrainResult` (per-micro-batch peaks
+        in schedule order), the micro-batches in schedule order, and the
+        stage-timing report.
         """
         profiler = profiler or Profiler()
         groups = plan.groups
         total_outputs = sum(g.n_output for g in groups)
         if total_outputs == 0:
             raise ConvergenceError("no output nodes to train on")
+        if assignments is None:
+            assignments = [0] * len(groups)
 
         report = PipelineReport(
             depth=self.config.depth,
@@ -174,26 +199,30 @@ class PipelineEngine:
         )
         tracer = get_tracer()
         metrics = get_metrics()
-        device = self.trainer.device
 
-        self.trainer.begin_iteration()
-        loss_sum = 0.0
+        contributions = GradientContributions()
+        for trainer in self.trainers:
+            trainer.begin_iteration(contributions)
         peaks: list[int] = []
         micro_batches: list[MicroBatch] = []
 
         if self.config.threaded:
             staged_items = self._staged_threaded(dataset, batch, groups)
         else:
-            staged_items = self._staged_sync(dataset, batch, groups)
+            staged_items = self._staged_sync(
+                dataset, batch, groups, profiler
+            )
 
         for index, mb, features, gen_s, stage_s, queue_wait in staged_items:
+            trainer = self.trainers[assignments[index]]
+            device = trainer.device
             with tracer.span(
                 "pipeline.compute",
                 {"index": index, "queue_wait_s": queue_wait},
             ):
                 sim_before = device.sim_time_s if device is not None else 0.0
                 compute_start = time.perf_counter()
-                loss_value, peak = self.trainer.train_micro_batch(
+                _, peak = trainer.train_micro_batch(
                     dataset,
                     batch.node_map,
                     mb,
@@ -206,7 +235,6 @@ class PipelineEngine:
                 compute_s = time.perf_counter() - compute_start
                 if device is not None:
                     compute_s += device.sim_time_s - sim_before
-            loss_sum += loss_value
             if peak is not None:
                 peaks.append(peak)
             micro_batches.append(mb)
@@ -229,9 +257,17 @@ class PipelineEngine:
                 help="host feature-gather seconds per micro-batch",
             ).observe(stage_s)
 
-        result = self.trainer.finish_iteration(
-            loss_sum, peaks, len(micro_batches), profiler
-        )
+        # One canonical reduction, installed on every replica:
+        # identical gradients -> identical steps -> replicas stay in sync.
+        reduced = contributions.reduced()
+        loss = contributions.reduced_loss()
+        results = [
+            trainer.finish_iteration(
+                loss, peaks, len(micro_batches), profiler, reduced=reduced
+            )
+            for trainer in self.trainers
+        ]
+        result = results[0]
         metrics.counter(
             "buffalo.pipeline.iterations",
             help="iterations executed by the staged engine",
@@ -246,11 +282,13 @@ class PipelineEngine:
         return result, micro_batches, report
 
     # ------------------------------------------------------------------
-    def _staged_sync(self, dataset, batch, groups):
+    def _staged_sync(self, dataset, batch, groups, profiler):
         """Deterministic in-line staging: same stages, no threads."""
         tracer = get_tracer()
         for index, group in enumerate(groups):
-            with tracer.span("pipeline.block_gen", {"index": index}):
+            with profiler.phase("block_generation"), tracer.span(
+                "pipeline.block_gen", {"index": index}
+            ):
                 gen_start = time.perf_counter()
                 mb = materialize_micro_batch(batch, group)
                 gen_s = time.perf_counter() - gen_start

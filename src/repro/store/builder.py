@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.config import INDEX_DTYPE
 from repro.datasets.catalog import Dataset, DatasetSpec, PaperStats
 from repro.errors import DatasetError
@@ -31,7 +32,6 @@ from repro.store.graph_store import INDICES_FILE, INDPTR_FILE, GraphStore
 from repro.store.layout import (
     DEFAULT_SHARD_ROWS,
     StoreManifest,
-    atomic_save_array,
     file_checksum,
     read_manifest,
     verify_files,
@@ -110,7 +110,8 @@ def build_store(
 
     def _write(rel: str, array: np.ndarray) -> None:
         path = dest / rel
-        atomic_save_array(path, array)
+        with atomic_write(path) as tmp, open(tmp, "wb") as fh:
+            np.save(fh, array)
         files[rel] = {
             "bytes": path.stat().st_size,
             "crc32": file_checksum(path),

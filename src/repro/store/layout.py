@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import DatasetError
 
 #: File that marks a directory as a store (written last during a build).
@@ -59,31 +60,6 @@ def file_checksum(path: str | Path) -> int:
             if not block:
                 return crc
             crc = zlib.crc32(block, crc)
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a same-directory temp + rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
-
-
-def atomic_save_array(path: Path, array: np.ndarray) -> None:
-    """``np.save`` through a temp file so readers never see a torn file."""
-    tmp = path.with_name(path.name + ".tmp.npy")
-    try:
-        np.save(tmp, array)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
 
 
 def is_store_path(path: str | Path) -> bool:
@@ -169,9 +145,12 @@ class StoreManifest:
 
 def write_manifest(root: str | Path, manifest: StoreManifest) -> None:
     """Atomically write ``manifest.json`` under ``root``."""
-    atomic_write_bytes(
-        Path(root) / MANIFEST_NAME, (manifest.to_json() + "\n").encode()
-    )
+    with atomic_write(Path(root) / MANIFEST_NAME) as tmp, open(
+        tmp, "wb"
+    ) as fh:
+        fh.write((manifest.to_json() + "\n").encode())
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_manifest(root: str | Path) -> StoreManifest:

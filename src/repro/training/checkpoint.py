@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.atomic import atomic_write
 from repro.errors import ReproError
 from repro.nn.module import Module
 
@@ -17,7 +19,11 @@ def save_checkpoint(
     *,
     metadata: dict | None = None,
 ) -> None:
-    """Write a model's parameters (plus JSON metadata) to an ``.npz``.
+    """Write a model's parameters (plus JSON metadata) as an ``.npz`` archive.
+
+    The archive lands at exactly ``path`` (no suffix is appended) and
+    replaces a previous checkpoint atomically, so a crash mid-write
+    leaves the previous one loadable.
 
     Args:
         path: target file; parent directories are created.
@@ -31,7 +37,8 @@ def save_checkpoint(
     payload["__metadata__"] = np.frombuffer(
         json.dumps(metadata or {}).encode(), dtype=np.uint8
     )
-    np.savez(path, **payload)
+    with atomic_write(path) as tmp, open(tmp, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(
@@ -43,20 +50,30 @@ def load_checkpoint(
         The metadata dict stored alongside the parameters.
 
     Raises:
-        ReproError: when the file is missing or shapes mismatch.
+        ReproError: naming ``path`` when the file is missing, truncated
+            or not a checkpoint, or when shapes mismatch the model.
     """
     path = Path(path)
     if not path.exists():
         raise ReproError(f"checkpoint not found: {path}")
-    with np.load(path) as archive:
-        metadata_raw = archive["__metadata__"].tobytes().decode()
-        state = {
-            key: archive[key]
-            for key in archive.files
-            if key != "__metadata__"
-        }
+    try:
+        with np.load(path) as archive:
+            metadata_raw = archive["__metadata__"].tobytes().decode()
+            state = {
+                key: archive[key]
+                for key in archive.files
+                if key != "__metadata__"
+            }
+    except (
+        zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError
+    ) as exc:
+        raise ReproError(
+            f"{path}: not a readable checkpoint ({exc})"
+        ) from exc
     try:
         model.load_state_dict(state)
     except (KeyError, ValueError) as exc:
-        raise ReproError(f"checkpoint does not match model: {exc}") from exc
+        raise ReproError(
+            f"{path}: checkpoint does not match model: {exc}"
+        ) from exc
     return json.loads(metadata_raw)

@@ -85,9 +85,9 @@ class TrainingLoop:
         # When the trainer pipelines its micro-batches, prefetch seed
         # batches behind the same depth too — shuffling/slicing the next
         # batch overlaps with the current batch's training.
-        config = getattr(self.trainer, "pipeline_config", None)
+        config = self.trainer.pipeline_config
         seed_source = loader
-        if config is not None and config.threaded and config.depth > 1:
+        if config.threaded and config.depth > 1:
             seed_source = BackgroundPrefetcher(loader, depth=config.depth)
         tracer = get_tracer()
         registry = get_metrics()

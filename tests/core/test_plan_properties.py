@@ -155,8 +155,13 @@ def test_placement_partitions_fits_budget_and_halo_exact(
     except SchedulingError:
         return  # no feasible K=N regrouping: properties vacuous
     owner = partition_nodes(graph.n_nodes, n_devices)
+    local_sets = plan.input_node_sets(blocks)
     placement = plan_placement(
-        plan, blocks, batch, n_devices, constraint, owner=owner
+        plan,
+        [batch.node_map[s] for s in local_sets],
+        n_devices,
+        constraint,
+        owner,
     )
 
     # (4a) assignments place every group on exactly one device.
@@ -184,7 +189,6 @@ def test_placement_partitions_fits_budget_and_halo_exact(
 
     # (4c) halo sets are exactly the cross-partition intersection of
     # the assigned groups' (global) input node sets.
-    local_sets = plan.input_node_sets(blocks)
     for d in range(n_devices):
         mine = placement.groups_of(d)
         if not mine:

@@ -1,4 +1,4 @@
-"""Tests for SimulatedGPU timing, MultiGPU, cost model, and profiler."""
+"""Tests for SimulatedGPU timing, cost model, and profiler."""
 
 import time
 
@@ -6,14 +6,12 @@ import pytest
 
 from repro.device import (
     A100_80GB,
-    MultiGPU,
     Profiler,
     RTX6000_24GB,
     SimulatedGPU,
     kernel_time,
     transfer_time,
 )
-from repro.errors import DeviceError
 
 
 class TestCostModel:
@@ -72,30 +70,6 @@ class TestSimulatedGPU:
 
     def test_repr(self):
         assert "24GiB" in repr(SimulatedGPU())
-
-
-class TestMultiGPU:
-    def test_requires_devices(self):
-        with pytest.raises(DeviceError):
-            MultiGPU(0)
-
-    def test_single_device_allreduce_free(self):
-        group = MultiGPU(1)
-        assert group.allreduce(10**9) == 0.0
-
-    def test_allreduce_scales_with_bytes(self):
-        group = MultiGPU(2)
-        small = group.allreduce(10**6)
-        large = group.allreduce(10**9)
-        assert large > small
-
-    def test_makespan_is_slowest_plus_comm(self):
-        group = MultiGPU(2)
-        group.devices[0].run_kernel(1e12, 0)
-        group.devices[1].run_kernel(2e12, 0)
-        comm = group.allreduce(10**8)
-        expected = group.devices[1].sim_time_s + comm
-        assert group.sim_time_s == pytest.approx(expected)
 
 
 class TestProfiler:

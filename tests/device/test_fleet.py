@@ -1,7 +1,7 @@
 """DeviceSpec link model and DeviceFleet clock/ledger semantics.
 
-Regression anchor: the inter-GPU message latency used to be hardcoded
-as ``20e-6`` inside ``MultiGPU.allreduce``; it now lives in
+Regression anchor: the inter-GPU message latency used to be a hardcoded
+``20e-6`` inside the all-reduce; it now lives in
 :class:`~repro.device.costmodel.DeviceSpec`, so transfer costs must
 scale with *both* the configured bandwidth and the configured latency.
 """
@@ -12,7 +12,6 @@ from repro.device import (
     A100_80GB,
     DeviceFleet,
     DeviceSpec,
-    MultiGPU,
     NVLINK_A100,
     PCIE_RTX6000,
     RTX6000_24GB,
@@ -77,10 +76,19 @@ class TestFleetConstruction:
         assert fleet.spec.gpu is A100_80GB
         assert fleet.interconnect_latency_s == 20e-6
 
-    def test_multigpu_facade_builds_a_fleet(self):
-        group = MultiGPU(2, interconnect_bandwidth=5e9)
-        assert isinstance(group, DeviceFleet)
-        assert group.interconnect_bandwidth == 5e9
+    def test_spec_sets_the_interconnect(self):
+        fleet = DeviceFleet(2, spec=DeviceSpec(interconnect_bandwidth=5e9))
+        assert fleet.interconnect_bandwidth == 5e9
+
+    def test_of_wraps_an_existing_device(self):
+        from repro.device import SimulatedGPU
+
+        device = SimulatedGPU(capacity_bytes=1 << 20)
+        fleet = DeviceFleet.of(device)
+        assert fleet.devices == [device]
+        assert fleet.allreduce(10**9) == 0.0
+        device.run_kernel(1e12, 0)
+        assert fleet.sim_time_s == device.sim_time_s
 
 
 class TestFleetCommunication:
@@ -89,14 +97,18 @@ class TestFleetCommunication:
         assert fleet.allreduce(10**9) == 0.0
         assert fleet.allreduce_bytes == 0
 
+    def test_allreduce_scales_with_bytes(self):
+        fleet = DeviceFleet(2)
+        assert fleet.allreduce(10**9) > fleet.allreduce(10**6)
+
     def test_allreduce_scales_with_bandwidth(self):
-        slow = DeviceFleet(2, interconnect_bandwidth=1e9)
-        fast = DeviceFleet(2, interconnect_bandwidth=8e9)
+        slow = DeviceFleet(2, spec=DeviceSpec(interconnect_bandwidth=1e9))
+        fast = DeviceFleet(2, spec=DeviceSpec(interconnect_bandwidth=8e9))
         assert slow.allreduce(10**8) > fast.allreduce(10**8)
 
     def test_allreduce_scales_with_latency(self):
-        quick = DeviceFleet(2, interconnect_latency_s=5e-6)
-        laggy = DeviceFleet(2, interconnect_latency_s=500e-6)
+        quick = DeviceFleet(2, spec=DeviceSpec(interconnect_latency_s=5e-6))
+        laggy = DeviceFleet(2, spec=DeviceSpec(interconnect_latency_s=500e-6))
         nbytes = 1000  # tiny payload: latency-dominated
         assert laggy.allreduce(nbytes) > quick.allreduce(nbytes)
         # 2 (n-1) ring steps at n=2 -> 2 messages of latency delta.

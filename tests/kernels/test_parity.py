@@ -146,7 +146,7 @@ class TestTrainerParity:
             fanouts=[5, 5],
             seed=1,
         )
-        assert trainer.trainer.kernel.name == "reference"
+        assert trainer.trainers[0].kernel.name == "reference"
 
 
 class TestEstimatorHonesty:

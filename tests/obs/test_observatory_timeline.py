@@ -144,7 +144,7 @@ class TestLiveRun:
         trainer, dataset = cora_tl
         trainer.attach_timeline()
         trainer.detach_timeline()
-        assert trainer.trainer.timeline is None
+        assert trainer.trainers[0].timeline is None
         trainer.run_iteration(dataset.train_nodes[:120])
         assert trainer.timeline is None
 

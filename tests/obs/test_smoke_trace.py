@@ -21,7 +21,7 @@ REQUIRED_SPANS = {
     "sampling",
     "block_generation",
     "buffalo_scheduling",
-    "micro_batch_generation",
+    "pipeline.block_gen",
     "train.micro_batch",
     "train.epoch",
     "forward_backward_wall",

@@ -33,7 +33,9 @@ class TestExactness:
             make_trainer, dataset, batch, plan, cutoffs
         )
         trainer = make_trainer()
-        engine = PipelineEngine(trainer, PipelineConfig(depth=3, mode="sync"))
+        engine = PipelineEngine(
+            [trainer], PipelineConfig(depth=3, mode="sync")
+        )
         result, mbs, report = engine.run(dataset, batch, plan, cutoffs)
         assert result.loss == seq_result.loss
         assert len(mbs) == plan.k
@@ -52,7 +54,7 @@ class TestExactness:
         )
         trainer = make_trainer()
         engine = PipelineEngine(
-            trainer, PipelineConfig(depth=depth, mode="threaded")
+            [trainer], PipelineConfig(depth=depth, mode="threaded")
         )
         result, _, report = engine.run(dataset, batch, plan, cutoffs)
         assert result.loss == seq_result.loss
@@ -64,7 +66,7 @@ class TestExactness:
     def test_micro_batches_in_schedule_order(
         self, make_trainer, dataset, batch, plan, cutoffs
     ):
-        engine = PipelineEngine(make_trainer(), PipelineConfig(depth=2))
+        engine = PipelineEngine([make_trainer()], PipelineConfig(depth=2))
         _, mbs, _ = engine.run(dataset, batch, plan, cutoffs)
         for mb, group in zip(mbs, plan.groups):
             np.testing.assert_array_equal(mb.seed_rows, group.rows)
@@ -75,7 +77,7 @@ class TestExactness:
         from repro.device import SimulatedGPU
 
         trainer = make_trainer(device=SimulatedGPU(capacity_bytes=1 << 40))
-        engine = PipelineEngine(trainer, PipelineConfig(depth=2))
+        engine = PipelineEngine([trainer], PipelineConfig(depth=2))
         result, _, _ = engine.run(dataset, batch, plan, cutoffs)
         assert result.peak_bytes > 0
         assert len(result.micro_batch_peaks) == plan.k
@@ -100,7 +102,7 @@ class TestFailureModes:
             engine_mod, "materialize_micro_batch", exploding
         )
         engine = PipelineEngine(
-            make_trainer(), PipelineConfig(depth=2, mode="threaded")
+            [make_trainer()], PipelineConfig(depth=2, mode="threaded")
         )
         with pytest.raises(RuntimeError, match="boom"):
             engine.run(dataset, batch, plan, cutoffs)
@@ -130,7 +132,7 @@ class TestTelemetry:
             help="iterations executed by the staged engine",
         )
         before = iters.value
-        engine = PipelineEngine(make_trainer(), PipelineConfig(depth=2))
+        engine = PipelineEngine([make_trainer()], PipelineConfig(depth=2))
         _, _, report = engine.run(dataset, batch, plan, cutoffs)
         assert iters.value == before + 1
         assert len(report.timings) == plan.k

@@ -132,5 +132,6 @@ class TestParity:
         assert report.pipeline.depth == 2
         assert len(report.pipeline.timings) == report.plan.k
 
-        plain = _make(dataset, spec, constraint)
-        assert plain.run_iteration(seeds).pipeline is None
+        # Depth 1 is the same engine in its sequential (sync) mode.
+        plain = _make(dataset, spec, constraint).run_iteration(seeds)
+        assert (plain.pipeline.depth, plain.pipeline.mode) == (1, "sync")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.atomic import atomic_write
 from repro.errors import DatasetError
 from repro.store import (
     MANIFEST_NAME,
@@ -16,7 +17,7 @@ from repro.store import (
     store_info,
     verify_files,
 )
-from repro.store.layout import atomic_save_array, file_checksum
+from repro.store.layout import file_checksum
 
 
 class TestManifest:
@@ -118,10 +119,25 @@ class TestBuild:
         assert info["verified"]
 
 
-class TestAtomicArray:
+class TestAtomicWrite:
+    @staticmethod
+    def _save(path, array):
+        with atomic_write(path) as tmp, open(tmp, "wb") as fh:
+            np.save(fh, array)
+
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "a.npy"
-        atomic_save_array(path, np.arange(5))
-        atomic_save_array(path, np.arange(9))
+        self._save(path, np.arange(5))
+        self._save(path, np.arange(9))
         np.testing.assert_array_equal(np.load(path), np.arange(9))
         assert not list(tmp_path.glob("*.tmp*"))
+
+    def test_failed_write_keeps_previous_and_no_temp(self, tmp_path):
+        path = tmp_path / "a.npy"
+        self._save(path, np.arange(5))
+        with pytest.raises(RuntimeError, match="torn"):
+            with atomic_write(path) as tmp:
+                tmp.write_bytes(b"half a payload")
+                raise RuntimeError("torn")
+        np.testing.assert_array_equal(np.load(path), np.arange(5))
+        assert [f.name for f in tmp_path.iterdir()] == ["a.npy"]

@@ -142,21 +142,41 @@ class TestMultiDeviceTrain:
         with pytest.raises(SystemExit, match="--devices"):
             main(self.SMOKE + ["--devices", "0"])
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--reuse-features"],
-            ["--ledger"],
-            ["--pipeline-depth", "2"],
-            ["--pipeline-mode", "sync"],
-            ["--kernel-backend", "fused"],
-            ["--feature-cache-bytes", "1000"],
-            ["--parallel", "data", "--timeline", "t.jsonl"],
-        ],
-    )
-    def test_rejects_incompatible_flags(self, flags):
-        with pytest.raises(SystemExit, match="does not support"):
-            main(self.SMOKE + ["--devices", "2"] + flags)
+    @pytest.mark.parametrize("parallel", ["data", "split"])
+    def test_reuse_cache_is_rejected_by_the_trainer(self, parallel):
+        # The one pair that does not compose; the rule lives in
+        # BuffaloTrainer.__init__, the CLI only reports it.
+        with pytest.raises(SystemExit, match="reuse_features"):
+            main(
+                self.SMOKE
+                + ["--devices", "2", "--parallel", parallel]
+                + ["--reuse-features"]
+            )
+
+    @pytest.mark.parametrize("parallel", ["data", "split"])
+    def test_every_execution_flag_composes_with_a_fleet(
+        self, parallel, capsys, tmp_path
+    ):
+        from repro.datasets import load
+        from repro.store import build_store
+
+        store = tmp_path / "cora.store"
+        build_store(load("cora", scale=0.2, seed=0), store, shard_rows=64)
+        ledger = tmp_path / "train.jsonl"
+        timeline = tmp_path / "timeline.jsonl"
+        code = main(
+            self.SMOKE
+            + ["--devices", "2", "--parallel", parallel]
+            + ["--data-store", str(store)]
+            + ["--pipeline-depth", "2", "--pipeline-mode", "threaded"]
+            + ["--kernel-backend", "fused", "--kernel-threads", "2"]
+            + ["--ledger", str(ledger), "--timeline", str(timeline)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"across 2 devices ({parallel}-parallel)" in out
+        assert "feature store:" in out
+        assert ledger.exists() and timeline.exists()
 
     def test_split_smoke_emits_device_metrics(self, capsys, tmp_path):
         import json

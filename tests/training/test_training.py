@@ -121,13 +121,51 @@ class TestEvaluate:
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, spec):
+    @pytest.mark.parametrize("name", ["ckpt.npz", "best.ckpt"])
+    def test_roundtrip(self, tmp_path, spec, name):
+        # The archive lands at exactly the given path, suffix or not.
         a = build_model(spec, rng=0)
         b = build_model(spec, rng=1)
-        meta = save_and_load(tmp_path / "ckpt.npz", a, b, {"epoch": 3})
+        meta = save_and_load(tmp_path / name, a, b, {"epoch": 3})
         assert meta == {"epoch": 3}
+        assert [f.name for f in tmp_path.iterdir()] == [name]
         for key, value in a.state_dict().items():
             np.testing.assert_array_equal(value, b.state_dict()[key])
+
+    def test_truncated_file_names_the_path(self, tmp_path, spec):
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(path, build_model(spec, rng=0))
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(ReproError, match="best.ckpt"):
+            load_checkpoint(path, build_model(spec, rng=0))
+
+    def test_foreign_archive_names_the_path(self, tmp_path, spec):
+        path = tmp_path / "not_a_checkpoint.npz"
+        np.savez(path, weights=np.zeros(3))
+        with pytest.raises(ReproError, match="not_a_checkpoint.npz"):
+            load_checkpoint(path, build_model(spec, rng=0))
+
+    def test_failed_write_keeps_previous_checkpoint(
+        self, tmp_path, spec, monkeypatch
+    ):
+        path = tmp_path / "best.ckpt"
+        good = build_model(spec, rng=0)
+        save_checkpoint(path, good, metadata={"epoch": 1})
+
+        def torn_savez(fh, **payload):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", torn_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, build_model(spec, rng=1))
+        monkeypatch.undo()
+
+        restored = build_model(spec, rng=2)
+        assert load_checkpoint(path, restored) == {"epoch": 1}
+        for key, value in good.state_dict().items():
+            np.testing.assert_array_equal(value, restored.state_dict()[key])
+        assert [f.name for f in tmp_path.iterdir()] == ["best.ckpt"]
 
     def test_missing_file_raises(self, tmp_path, spec):
         with pytest.raises(ReproError):
