@@ -17,13 +17,6 @@ built once at import) are exempt, as is ``kernels/workspace.py`` itself
 Intentional owned allocations — arrays that become ``Tensor.data`` or
 are captured by backward closures, which must *not* live in the arena —
 carry ``# repro: noqa[hot-alloc] <reason>``.
-
-Threaded kernel execution does not change the discipline: pool workers
-draw from their own named sub-arenas via
-``workspace.for_worker(i).request(...)`` (created up front on the
-compute thread by ``workspace.ensure_workers(n)``), which the rule
-already recognizes as arena usage — ``request`` is not an allocating
-constructor, whichever arena it is called on.
 """
 
 from __future__ import annotations
@@ -84,10 +77,8 @@ class HotAllocRule(LintRule):
                         ctx,
                         node,
                         f"per-call {short}(...) on the kernel hot path; "
-                        f"request the buffer from the Workspace arena "
-                        f"(worker code: workspace.for_worker(i)"
-                        f".request(...)), or mark an owned autograd "
-                        f"allocation with "
+                        f"request the buffer from the Workspace arena, "
+                        f"or mark an owned autograd allocation with "
                         f"'# repro: noqa[hot-alloc] <reason>'",
                     )
                 )

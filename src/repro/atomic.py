@@ -1,7 +1,7 @@
 """The one atomic-write primitive behind every file this package persists.
 
-Store shards and manifests, kernel calibrations, dataset archives, lint
-caches and checkpoints all follow the same protocol: write the complete
+Store shards and manifests, dataset archives, lint caches and
+checkpoints all follow the same protocol: write the complete
 payload to a temp sibling in the target directory, then rename it over
 the target.  A reader therefore sees the previous file or the new one,
 never a torn one, and a failed write leaves nothing behind.

@@ -42,7 +42,6 @@ from repro.kernels import (
     ReferenceBackend,
     use_kernel_backend,
 )
-from repro.kernels.fused import DENSE_FALLBACK_ELEMENTS
 from repro.tensor import Tensor
 
 #: Ledger capacity for benchmark devices — large enough that no
@@ -57,24 +56,6 @@ SCRATCH_RATIO_TARGET = 0.7
 #: CI gate floor: fail the perf-smoke job when fused is more than 10%
 #: slower than reference (best-of-N guards against scheduler flake).
 CI_MIN_SPEEDUP = 0.9
-
-#: Tuned-vs-default gate: fail when calibrated dispatch is more than 5%
-#: slower than the shipped default crossover on any benchmarked row.
-TUNED_VS_DEFAULT_FLOOR = 0.95
-
-#: Threaded-vs-serial gate on the cut-off bucket (modeled speedup from
-#: measured components — see :func:`run_threaded_comparison`).
-THREADED_SPEEDUP_TARGET = 1.3
-
-#: Minimum best-of repeats for the tuned-vs-default rows: they compare
-#: two runs of the *same* backend class down to a 5% floor, so timing
-#: noise — not the workload — is the enemy.  Each timed sample loops
-#: enough forward+backward passes to span ``_TUNED_SAMPLE_TARGET_S``
-#: (capped at ``_TUNED_INNER_MAX``) so every row, however cheap, is
-#: measured well above timer granularity and scheduler quanta.
-_TUNED_MIN_REPEATS = 15
-_TUNED_SAMPLE_TARGET_S = 4e-3
-_TUNED_INNER_MAX = 64
 
 #: The sub-crossover row: 48 * 4 * 16 = 3072 elements of work sits well
 #: below the shipped dense/CSR crossover, so the hybrid dispatch routes
@@ -151,17 +132,12 @@ def _run_once(
     backend: KernelBackend,
     workload: KernelWorkload,
     op: str,
-    *,
-    inner: int = 1,
 ) -> dict[str, float]:
     """One timed group on a fresh device; returns wall and peaks.
 
     ``op`` is a reduce op (``sum`` / ``mean`` / ``max``) or
     ``"attention"``, which runs the learned-weight path
     (``bucket_attention_sum`` + the per-edge alpha-dot backward).
-    ``inner`` repeats the forward+backward inside the single timed
-    group — sub-millisecond rows need the amortization to rise above
-    timer granularity.
     """
     device = SimulatedGPU(_BENCH_CAPACITY, name="bench")
     src = Tensor(workload.feats, requires_grad=True, device=device)
@@ -175,16 +151,15 @@ def _run_once(
     with use_kernel_backend(backend):
         backend.begin_group()
         try:
-            for _ in range(inner):
-                if alpha is not None:
-                    out = backend.bucket_attention_sum(
-                        workload.block, workload.bucket, src, alpha
-                    )
-                else:
-                    out = backend.bucket_reduce(
-                        workload.block, workload.bucket, src, op
-                    )
-                out.backward(np.ones(out.shape, dtype=out.dtype))
+            if alpha is not None:
+                out = backend.bucket_attention_sum(
+                    workload.block, workload.bucket, src, alpha
+                )
+            else:
+                out = backend.bucket_reduce(
+                    workload.block, workload.bucket, src, op
+                )
+            out.backward(np.ones(out.shape, dtype=out.dtype))
         finally:
             backend.end_group()
     wall = time.perf_counter() - start
@@ -252,8 +227,6 @@ def run_kernel_bench(
             "speedup": SPEEDUP_TARGET,
             "scratch_ratio": SCRATCH_RATIO_TARGET,
             "ci_min_speedup": CI_MIN_SPEEDUP,
-            "tuned_vs_default": TUNED_VS_DEFAULT_FLOOR,
-            "threaded_speedup": THREADED_SPEEDUP_TARGET,
         },
         "ops": {},
         "buckets": {},
@@ -267,7 +240,7 @@ def run_kernel_bench(
         "ops": _compare_backends(small, ("sum", "mean"), backends, repeats),
     }
     # The attention row: learned per-edge weights, exercising the
-    # alpha-dot backward that the threaded layer also shards.
+    # alpha-dot backward.
     result["buckets"]["attention"] = {
         "workload": workload.meta,
         "ops": _compare_backends(
@@ -289,17 +262,10 @@ def _compare_backends(
         per_op: dict[str, Any] = {}
         for name in backends:
             # Fresh backend per (op, backend) cell: arena growth and
-            # counters must not leak across measurements.  An explicit
-            # crossover pins the shipped default so host calibration
-            # files cannot skew the reference comparison.
-            backend = _BACKEND_CLASSES[name]
-            if backend is FusedBackend:
-                instance = FusedBackend(
-                    dense_fallback_elements=DENSE_FALLBACK_ELEMENTS
-                )
-            else:
-                instance = backend()
-            per_op[name] = _measure(instance, workload, op, repeats)
+            # counters must not leak across measurements.
+            per_op[name] = _measure(
+                _BACKEND_CLASSES[name](), workload, op, repeats
+            )
         if "reference" in per_op and "fused" in per_op:
             ref, fused = per_op["reference"], per_op["fused"]
             per_op["speedup"] = ref["wall_s"] / max(fused["wall_s"], 1e-12)
@@ -308,294 +274,6 @@ def _compare_backends(
             )
         compared[op] = per_op
     return compared
-
-
-def _bench_rows(
-    result: dict[str, Any],
-) -> dict[str, tuple[KernelWorkload, str]]:
-    """Named (row -> workload, gate op) pairs every comparison covers."""
-    meta = result["workload"]
-    cutoff = make_cutoff_bucket_workload(
-        n_rows=meta["n_rows"],
-        degree=meta["degree"],
-        feat_dim=meta["feat_dim"],
-        seed=meta["seed"],
-    )
-    small = make_cutoff_bucket_workload(
-        seed=meta["seed"], **SMALL_BUCKET
-    )
-    return {
-        "cutoff.sum": (cutoff, "sum"),
-        "small.sum": (small, "sum"),
-        "attention": (cutoff, "attention"),
-    }
-
-
-def run_tuned_comparison(
-    result: dict[str, Any],
-    calibration,
-    *,
-    repeats: int | None = None,
-) -> dict[str, Any]:
-    """Tuned-vs-default dispatch on every benchmarked bucket row.
-
-    For each row, times the fused backend with the shipped default
-    crossover against one dispatching through ``calibration``;
-    ``tuned_vs_default_speedup = default_wall / tuned_wall`` must stay
-    above :data:`TUNED_VS_DEFAULT_FLOOR` (the ledger floor) — a
-    calibration must never make dispatch slower than the default it
-    replaces.  Mutates and returns ``result`` with a ``"tuned"``
-    section.
-
-    Each row's speedup is the more favorable of two robust estimators
-    over at least :data:`_TUNED_MIN_REPEATS` interleaved pairs (median
-    of per-pair wall ratios, ratio of best-of walls) — the rows are
-    sub-10 ms, and on a noisy shared-CPU runner a single best-of-N
-    ratio of independently-timed windows spreads ±20%, far too loose
-    for a 5% floor.
-    """
-    repeats = max(
-        repeats or int(result["workload"]["repeats"]), _TUNED_MIN_REPEATS
-    )
-    rows: dict[str, Any] = {}
-    for row_name, (workload, op) in _bench_rows(result).items():
-        default_backend = FusedBackend(
-            dense_fallback_elements=DENSE_FALLBACK_ELEMENTS
-        )
-        tuned_backend = FusedBackend(calibration=calibration)
-        # Interleave the two backends' runs as adjacent pairs and take
-        # the MEDIAN of per-pair ratios: pairing cancels drift that
-        # spans a whole measurement window (which best-of cannot), the
-        # median kills contention spikes, and the inner loop amortizes
-        # sub-millisecond rows above timer granularity.
-        warm = [
-            _run_once(backend, workload, op)["wall_s"]  # + arena growth
-            for backend in (default_backend, tuned_backend)
-        ]
-        inner = int(
-            min(
-                max(1, _TUNED_SAMPLE_TARGET_S / max(min(warm), 1e-6)),
-                _TUNED_INNER_MAX,
-            )
-        )
-        default_walls, tuned_walls = [], []
-        for _ in range(repeats):
-            default_walls.append(
-                _run_once(default_backend, workload, op, inner=inner)[
-                    "wall_s"
-                ]
-            )
-            tuned_walls.append(
-                _run_once(tuned_backend, workload, op, inner=inner)[
-                    "wall_s"
-                ]
-            )
-        ratios = sorted(
-            d / max(t, 1e-12)
-            for d, t in zip(default_walls, tuned_walls)
-        )
-        median_ratio = ratios[len(ratios) // 2]
-        best_ratio = min(default_walls) / max(min(tuned_walls), 1e-12)
-        rows[row_name] = {
-            "default_wall_s": min(default_walls),
-            "tuned_wall_s": min(tuned_walls),
-            # The two estimators fail independently under contention
-            # bursts (median: a burst spanning most of the row's
-            # window; best-of: a burst hitting every run of one side),
-            # while a genuine dispatch regression depresses both — so
-            # the more favorable one gates.
-            "tuned_vs_default_speedup": max(median_ratio, best_ratio),
-        }
-    result["tuned"] = {
-        "host": calibration.host,
-        "thread_min_work": int(calibration.thread_min_work),
-        "crossovers": {
-            dtype: {str(band): int(v) for band, v in table.items()}
-            for dtype, table in calibration.crossovers.items()
-        },
-        "rows": rows,
-    }
-    return result
-
-
-def run_threaded_comparison(
-    result: dict[str, Any],
-    *,
-    n_threads: int = 4,
-    repeats: int | None = None,
-) -> dict[str, Any]:
-    """Threaded-vs-serial fused execution on the cut-off bucket.
-
-    Measures serial and ``n_threads``-way column-block execution
-    (forward + backward, best-of-``repeats``), asserts the threaded
-    outputs and gradients are **bit-for-bit** equal to serial, and
-    records two speedups:
-
-    * ``measured_speedup`` — raw wall ratio on this machine (a 1-core
-      CI runner measures ~1x by construction);
-    * ``modeled_speedup`` — the work-conservation estimate from
-      measured components, exactly like the pipeline/fleet makespans:
-      the two CSR matmuls (the parallel fraction, timed directly) are
-      divided across ``n_threads`` while the Python-side assembly and
-      the measured pool dispatch overhead stay serial.  This is the
-      machine-independent number the ledger floor gates.
-    """
-    meta = result["workload"]
-    repeats = repeats or int(meta["repeats"])
-    workload = make_cutoff_bucket_workload(
-        n_rows=meta["n_rows"],
-        degree=meta["degree"],
-        feat_dim=meta["feat_dim"],
-        seed=meta["seed"],
-    )
-    serial_backend = FusedBackend(dense_fallback_elements=0)
-    threaded_backend = FusedBackend(
-        dense_fallback_elements=0, n_threads=n_threads, thread_min_work=0
-    )
-    try:
-        serial_wall = _measure(serial_backend, workload, "sum", repeats)[
-            "wall_s"
-        ]
-        threaded_wall = _measure(
-            threaded_backend, workload, "sum", repeats
-        )["wall_s"]
-        bitwise_equal = _bitwise_equal(
-            serial_backend, threaded_backend, workload
-        )
-        parallel_wall = min(
-            _measure_matmul_wall(workload, repeats), serial_wall
-        )
-        overhead = _measure_dispatch_overhead(threaded_backend)
-    finally:
-        threaded_backend.close()
-    modeled_makespan = (
-        (serial_wall - parallel_wall)
-        + parallel_wall / n_threads
-        + overhead
-    )
-    result["threaded"] = {
-        "n_threads": int(n_threads),
-        "serial_wall_s": serial_wall,
-        "threaded_wall_s": threaded_wall,
-        "measured_speedup": serial_wall / max(threaded_wall, 1e-12),
-        "parallel_fraction": parallel_wall / max(serial_wall, 1e-12),
-        "dispatch_overhead_s": overhead,
-        "modeled_speedup": serial_wall / max(modeled_makespan, 1e-12),
-        "bitwise_equal": bool(bitwise_equal),
-    }
-    return result
-
-
-def _bitwise_equal(
-    serial: FusedBackend, threaded: FusedBackend, workload: KernelWorkload
-) -> bool:
-    """Forward + input-grad equality, serial vs threaded."""
-    outs = []
-    for backend in (serial, threaded):
-        src = Tensor(workload.feats, requires_grad=True)
-        with use_kernel_backend(backend):
-            backend.begin_group()
-            try:
-                out = backend.bucket_reduce(
-                    workload.block, workload.bucket, src, "sum"
-                )
-                out.backward(np.ones(out.shape, dtype=out.dtype))
-            finally:
-                backend.end_group()
-        outs.append((out.data.copy(), src.grad.copy()))
-    (s_out, s_grad), (t_out, t_grad) = outs
-    return np.array_equal(s_out, t_out) and np.array_equal(s_grad, t_grad)
-
-
-def _measure_matmul_wall(workload: KernelWorkload, repeats: int) -> float:
-    """Best-of wall of the two CSR matmuls (the parallelizable part)."""
-    import scipy.sparse as sparse
-
-    n, d = workload.bucket.volume, workload.bucket.degree
-    indptr = np.arange(n + 1, dtype=np.int64) * d
-    operator = sparse.csr_matrix(
-        (
-            np.ones(n * d, dtype=workload.feats.dtype),
-            workload.block.indices[: n * d],
-            indptr,
-        ),
-        shape=(n, workload.block.n_src),
-    )
-    grad = np.ones((n, workload.feats.shape[1]), dtype=workload.feats.dtype)
-    best = float("inf")
-    for _ in range(repeats + 1):
-        start = time.perf_counter()
-        operator @ workload.feats
-        operator.T @ grad
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _measure_dispatch_overhead(backend: FusedBackend) -> float:
-    """Best-of wall of an empty pool dispatch (coordination cost)."""
-    pool = backend._pool
-    if pool is None:
-        return 0.0
-
-    def noop(worker: int, lo: int, hi: int) -> None:
-        pass
-
-    best = float("inf")
-    for _ in range(10):
-        start = time.perf_counter()
-        pool.run_blocks(noop, 1 << 20)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def check_regression(
-    result: dict[str, Any],
-    *,
-    min_speedup: float = CI_MIN_SPEEDUP,
-    ops: Iterable[str] = ("sum", "mean"),
-) -> list[str]:
-    """Return failure messages when fused regresses below the floor.
-
-    The CI perf-smoke gate: empty list means pass.  Only ``sum`` and
-    ``mean`` gate by default — ``max`` keeps an argmax tracker for the
-    backward and is allowed to trade wall time for exactness.  When the
-    result carries ``tuned`` / ``threaded`` sections (the opt-in
-    ``--tune`` / ``--threads`` comparisons), their floors gate too.
-    """
-    failures: list[str] = []
-    for op in ops:
-        per_op = result["ops"].get(op)
-        if per_op is None or "speedup" not in per_op:
-            failures.append(f"{op}: no fused-vs-reference comparison ran")
-            continue
-        if per_op["speedup"] < min_speedup:
-            failures.append(
-                f"{op}: fused speedup {per_op['speedup']:.2f}x below the "
-                f"{min_speedup:.2f}x floor "
-                f"(reference {per_op['reference']['wall_s'] * 1e3:.2f} ms, "
-                f"fused {per_op['fused']['wall_s'] * 1e3:.2f} ms)"
-            )
-    for row, cells in result.get("tuned", {}).get("rows", {}).items():
-        ratio = cells["tuned_vs_default_speedup"]
-        if ratio < TUNED_VS_DEFAULT_FLOOR:
-            failures.append(
-                f"tuned.{row}: calibrated dispatch {ratio:.2f}x vs default "
-                f"is below the {TUNED_VS_DEFAULT_FLOOR:.2f}x floor"
-            )
-    threaded = result.get("threaded")
-    if threaded is not None:
-        if not threaded["bitwise_equal"]:
-            failures.append(
-                "threaded: outputs are NOT bit-for-bit equal to serial"
-            )
-        if threaded["modeled_speedup"] < THREADED_SPEEDUP_TARGET:
-            failures.append(
-                f"threaded: modeled speedup "
-                f"{threaded['modeled_speedup']:.2f}x at "
-                f"{threaded['n_threads']} threads is below the "
-                f"{THREADED_SPEEDUP_TARGET:.2f}x target"
-            )
-    return failures
 
 
 def write_bench_json(result: dict[str, Any], path: str | Path) -> Path:
@@ -613,14 +291,13 @@ def ledger_record_from_kernel_result(
 ):
     """Convert a :func:`run_kernel_bench` result into a ledger record.
 
-    The old ad-hoc gate (:func:`check_regression`) becomes ledger
-    floors: ``ops.<op>.speedup >= min_speedup`` for the gated ops, so
-    ``repro ledger check`` reproduces the CI perf-smoke behavior while
-    also enabling cross-run comparison against a checked-in baseline.
-    When the result carries the opt-in ``tuned`` / ``threaded``
-    sections, their metrics flatten in and their floors gate too:
-    ``tuned.rows.<row>.tuned_vs_default_speedup >= 0.95`` per row and
-    ``threaded.modeled_speedup >= 1.3``.
+    The kernels gate is defined once, as ledger floors:
+    ``ops.<op>.speedup >= min_speedup`` for the gated ops — only
+    ``sum`` and ``mean`` by default, since ``max`` keeps an argmax
+    tracker for the backward and is allowed to trade wall time for
+    exactness.  ``repro ledger check`` therefore reproduces the CI
+    perf-smoke behavior while also enabling cross-run comparison
+    against a checked-in baseline.
     """
     from repro.obs.observatory.ledger import LedgerRecord, flatten_numeric
 
@@ -630,23 +307,6 @@ def ledger_record_from_kernel_result(
         metrics.update(
             flatten_numeric(bucket.get("ops", {}), f"buckets.{name}")
         )
-    tuned = result.get("tuned")
-    if tuned is not None:
-        metrics.update(flatten_numeric(tuned["rows"], "tuned.rows"))
-        for row in tuned["rows"]:
-            floors[f"tuned.rows.{row}.tuned_vs_default_speedup"] = (
-                TUNED_VS_DEFAULT_FLOOR
-            )
-    threaded = result.get("threaded")
-    if threaded is not None:
-        metrics.update(flatten_numeric(threaded, "threaded"))
-        floors["threaded.modeled_speedup"] = THREADED_SPEEDUP_TARGET
-        # flatten_numeric drops bools; recorded as 1.0/0.0 with floor
-        # 1.0 so any determinism break becomes a ledger failure.
-        metrics["threaded.bitwise_equal"] = (
-            1.0 if threaded["bitwise_equal"] else 0.0
-        )
-        floors["threaded.bitwise_equal"] = 1.0
     return LedgerRecord(
         name="kernels",
         config=dict(result.get("workload", {})),

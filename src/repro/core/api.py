@@ -187,11 +187,6 @@ class BuffaloTrainer:
             ``(n, d, f)`` neighbor tensor — see docs/kernels.md).
             Scheduling and execution both run under this backend so
             Eq. 1-2 estimates match the executed live set.
-        kernel_threads: worker threads for the fused backend's sharded
-            CSR execution (1 = serial; bit-for-bit at any count).
-        kernel_calibration: path to an autotuned dispatch calibration
-            file (``repro bench kernels --tune``); ``None`` keeps the
-            backend's per-host default resolution.
 
     Attributes:
         fleet: the device fleet (``DeviceFleet.of(device)`` for a bare
@@ -221,8 +216,6 @@ class BuffaloTrainer:
         store_prefetch: bool = True,
         store_prefetch_depth: int | None = None,
         kernel_backend: str = "reference",
-        kernel_threads: int = 1,
-        kernel_calibration: str | None = None,
     ) -> None:
         if spec.in_dim != dataset.feat_dim:
             raise SchedulingError(
@@ -274,25 +267,19 @@ class BuffaloTrainer:
             k_max=k_max,
         )
 
-        def replica(member: SimulatedGPU, **kernel) -> MicroBatchTrainer:
+        def replica(member: SimulatedGPU) -> MicroBatchTrainer:
             # Identical initialization on every replica.
             model = build_model(spec, rng=seed)
             return MicroBatchTrainer(
-                model, spec, Adam(model.parameters(), lr=lr), member, **kernel
+                model,
+                spec,
+                Adam(model.parameters(), lr=lr),
+                member,
+                kernel_backend=kernel_backend,
             )
 
-        # Kernel backends are singletons: replica 0 resolves and
-        # configures the instance every later replica shares.
-        first = replica(
-            fleet.devices[0],
-            kernel_backend=kernel_backend,
-            kernel_threads=kernel_threads,
-            kernel_calibration=kernel_calibration,
-        )
-        self.trainers = [first] + [
-            replica(member, kernel_backend=first.kernel)
-            for member in fleet.devices[1:]
-        ]
+        self.trainers = [replica(member) for member in fleet.devices]
+        first = self.trainers[0]
         self.model = first.model
         self.optimizer = first.optimizer
         self.pipeline_config = PipelineConfig(

@@ -13,35 +13,15 @@ from repro.kernels.dispatch import (
     use_kernel_backend,
 )
 from repro.kernels.fused import FusedBackend
-from repro.kernels.parallel import KernelThreadPool
 from repro.kernels.reference import ReferenceBackend
-from repro.kernels.tuning import (
-    Calibration,
-    CalibrationError,
-    CalibrationWarning,
-    default_calibration_path,
-    host_fingerprint,
-    load_calibration,
-    save_calibration,
-    tune_calibration,
-)
 from repro.kernels.workspace import Workspace
 
 __all__ = [
     "KERNEL_BACKENDS",
-    "Calibration",
-    "CalibrationError",
-    "CalibrationWarning",
     "FusedBackend",
     "KernelBackend",
-    "KernelThreadPool",
     "ReferenceBackend",
     "Workspace",
-    "default_calibration_path",
-    "host_fingerprint",
-    "load_calibration",
-    "save_calibration",
-    "tune_calibration",
     "bucket_positions",
     "bucket_starts",
     "cached_arange",

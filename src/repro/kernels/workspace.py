@@ -23,15 +23,6 @@ The arena is *not* thread-safe.  That is by design: pipeline staging
 threads only gather features, kernels always run on the compute thread
 (the bit-for-bit parity invariant of :mod:`repro.pipeline.engine`), so
 a per-backend arena never sees concurrent requests.
-
-Threaded column-block execution keeps that invariant by giving each
-pool worker its **own named sub-arena**: the compute thread calls
-:meth:`Workspace.ensure_workers` *before* dispatching tasks (creation
-is single-threaded), and worker ``i`` then draws scratch exclusively
-through ``workspace.for_worker(i).request(...)`` — a read-only lookup
-into pre-created per-worker arenas, so no two threads ever touch the
-same buffer dict or the same buffer.  The ``hot-alloc`` lint rule
-recognizes this accessor as an arena draw.
 """
 
 from __future__ import annotations
@@ -59,10 +50,6 @@ class Workspace:
     def __init__(self, name: str = "kernel") -> None:
         self.name = name
         self._buffers: dict[str, np.ndarray] = {}
-        # Per-worker sub-arenas for threaded column-block execution.
-        # Created only on the compute thread (ensure_workers, before any
-        # dispatch); workers index it read-only via for_worker.
-        self._workers: dict[int, "Workspace"] = {}
         self.hits = 0
         self.allocs = 0
         self.peak_bytes = 0
@@ -95,42 +82,12 @@ class Workspace:
 
     @property
     def nbytes(self) -> int:
-        """Current total arena capacity in bytes (sub-arenas included)."""
-        own = sum(b.nbytes for b in self._buffers.values())
-        return own + sum(w.nbytes for w in self._workers.values())
+        """Current total arena capacity in bytes."""
+        return sum(b.nbytes for b in self._buffers.values())
 
     def clear(self) -> None:
         """Drop every buffer (used between workloads, not per group)."""
         self._buffers.clear()
-        self._workers.clear()
-
-    # ------------------------------------------------------------------
-    def ensure_workers(self, count: int) -> None:
-        """Pre-create ``count`` per-worker sub-arenas.
-
-        Must run on the compute thread *before* any pool dispatch that
-        will use them — creation mutates the worker dict, lookups after
-        dispatch are read-only and therefore safe from worker threads.
-        """
-        for idx in range(count):
-            if idx not in self._workers:
-                self._workers[idx] = Workspace(f"{self.name}.w{idx}")
-
-    def for_worker(self, idx: int) -> "Workspace":
-        """Worker ``idx``'s private sub-arena (read-only lookup).
-
-        Scratch requested here never aliases another worker's (or the
-        parent's) buffers, so concurrent column-block tasks can each
-        gather/scatter into their own arena without locks.
-        """
-        try:
-            return self._workers[idx]
-        except KeyError:
-            raise KeyError(
-                f"worker arena {idx} not created; call "
-                f"ensure_workers({idx + 1}) on the compute thread "
-                f"before dispatching"
-            )
 
     # ------------------------------------------------------------------
     def begin_group(self) -> None:
@@ -145,9 +102,6 @@ class Workspace:
         from repro.obs.metrics import get_metrics
 
         self._groups += 1
-        # Worker-arena growth happens off the request() bookkeeping
-        # above, so fold it into the high-water mark at the boundary.
-        self.peak_bytes = max(self.peak_bytes, self.nbytes)
         metrics = get_metrics()
         metrics.gauge(
             "buffalo.kernel.workspace_bytes",

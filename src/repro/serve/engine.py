@@ -95,8 +95,6 @@ class ServeEngine:
         kernel_backend: bucket-aggregation backend for the bucketed
             forwards ("reference" | "fused", see :mod:`repro.kernels`);
             the engine scopes it around every batch's forward pass.
-        kernel_threads: worker threads for the fused backend's sharded
-            CSR execution (1 = serial; bit-for-bit at any count).
     """
 
     def __init__(
@@ -110,7 +108,6 @@ class ServeEngine:
         cache: EmbeddingCache | None = None,
         merged_forward: bool = False,
         kernel_backend: str = "reference",
-        kernel_threads: int = 1,
     ) -> None:
         fanouts = tuple(int(f) for f in fanouts)
         if not fanouts or any(f < 1 for f in fanouts):
@@ -124,8 +121,6 @@ class ServeEngine:
         self.sampler_seed = int(sampler_seed)
         self.merged_forward = bool(merged_forward)
         self.kernel = resolve_backend(kernel_backend)
-        if kernel_threads != 1:
-            self.kernel.configure_execution(n_threads=kernel_threads)
         self.cache = EmbeddingCache() if cache is None else cache
         if hasattr(features, "gather"):
             self._gather_rows = features.gather

@@ -208,7 +208,7 @@ class TestMemmapCopy:
 
 
 class TestHotAlloc:
-    def test_flags_per_call_alloc_with_worker_guidance(self, project):
+    def test_flags_per_call_alloc_with_arena_guidance(self, project):
         project.write(
             "src/repro/kernels/bad_scratch.py",
             "import numpy as np\n"
@@ -218,13 +218,13 @@ class TestHotAlloc:
         )
         result = project.lint(rules=["hot-alloc"])
         assert rules_of(result.findings) == ["hot-alloc"]
-        assert "for_worker" in result.findings[0].message
+        assert "Workspace arena" in result.findings[0].message
 
-    def test_worker_subarena_request_passes(self, project):
+    def test_arena_request_passes(self, project):
         project.write(
             "src/repro/kernels/good_scratch.py",
-            "def reduce_block(workspace, worker, shape, dtype):\n"
-            "    scratch = workspace.for_worker(worker).request(\n"
+            "def reduce_block(workspace, shape, dtype):\n"
+            "    scratch = workspace.request(\n"
             "        'reduce.scratch', shape, dtype\n"
             "    )\n"
             "    scratch[:] = 0\n"

