@@ -9,15 +9,14 @@ import numpy as np
 from repro.errors import DeviceError, DeviceOutOfMemoryError
 
 
-def _owning_array(array: np.ndarray) -> np.ndarray:
-    """Walk ``.base`` to the array that owns the buffer.
+class _TrackedRef(weakref.ref):
+    """Weak reference to a tracked buffer that carries its ledger entry.
 
-    Views (reshapes, slices) share their parent's buffer; tracking the
-    owner once avoids double counting.
+    The release callback reads ``key`` / ``nbytes`` off the dying
+    reference, so one bound method serves every buffer.
     """
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
+
+    __slots__ = ("key", "nbytes")
 
 
 class MemoryTracker:
@@ -41,7 +40,7 @@ class MemoryTracker:
         self.live_bytes = 0
         self.peak_bytes = 0
         self.oom_count = 0
-        self._tracked: dict[int, tuple[int, weakref.ref]] = {}
+        self._tracked: dict[int, _TrackedRef] = {}
         self._handles: dict[int, int] = {}
         self._next_handle = 0
 
@@ -63,19 +62,30 @@ class MemoryTracker:
     # Weakref path (concrete tensors)
     # ------------------------------------------------------------------
     def track(self, array: np.ndarray) -> None:
-        """Register a numpy buffer; released automatically on GC."""
-        owner = _owning_array(np.asarray(array))
-        key = id(owner)
+        """Register a numpy buffer; released automatically on GC.
+
+        Views (reshapes, slices) share their parent's buffer: the array
+        at the end of the ``.base`` chain owns it and is charged once.
+        """
+        if not isinstance(array, np.ndarray):
+            array = np.asarray(array)
+        base = array.base
+        while isinstance(base, np.ndarray):
+            array = base
+            base = array.base
+        key = id(array)
         if key in self._tracked:
             return
-        nbytes = int(owner.nbytes)
+        nbytes = array.nbytes
         self._charge(nbytes)
+        ref = _TrackedRef(array, self._release)
+        ref.key = key
+        ref.nbytes = nbytes
+        self._tracked[key] = ref
 
-        def _release(_ref, *, _key=key, _nbytes=nbytes) -> None:
-            if self._tracked.pop(_key, None) is not None:
-                self.live_bytes -= _nbytes
-
-        self._tracked[key] = (nbytes, weakref.ref(owner, _release))
+    def _release(self, ref: _TrackedRef) -> None:
+        if self._tracked.pop(ref.key, None) is not None:
+            self.live_bytes -= ref.nbytes
 
     # ------------------------------------------------------------------
     # Handle path (symbolic execution)

@@ -16,7 +16,7 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        logits._accumulate(out_data * (grad - dot))
+        logits._accumulate(out_data * (grad - dot), owned=True)
 
     return Tensor._make(out_data, (logits,), backward_fn)
 
@@ -30,7 +30,7 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
 
     def backward_fn(grad: np.ndarray) -> None:
         logits._accumulate(
-            grad - probs * grad.sum(axis=axis, keepdims=True)
+            grad - probs * grad.sum(axis=axis, keepdims=True), owned=True
         )
 
     return Tensor._make(out_data, (logits,), backward_fn)
@@ -85,6 +85,6 @@ def cross_entropy_with_logits(
             dlogits *= float(grad)
         else:
             dlogits *= grad[:, None]
-        logits._accumulate(dlogits)
+        logits._accumulate(dlogits, owned=True)
 
     return Tensor._make(np.asarray(out_data), (logits,), backward_fn)

@@ -15,14 +15,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise AutogradError("concat of an empty sequence")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    stops = np.cumsum([t.shape[axis] for t in tensors]).tolist()
+    starts = [0] + stops[:-1]
 
     def backward_fn(grad: np.ndarray) -> None:
-        pieces = np.split(grad, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
+        index = [slice(None)] * grad.ndim
+        for t, start, stop in zip(tensors, starts, stops):
             if t.requires_grad:
-                t._accumulate(piece)
+                index[axis] = slice(start, stop)
+                t._accumulate(grad[tuple(index)])
 
     return Tensor._make(out_data, tuple(tensors), backward_fn)
 
@@ -55,7 +56,7 @@ def gather_rows(tensor: Tensor, index: np.ndarray) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         full = np.zeros_like(tensor.data)
         np.add.at(full, index, grad)
-        tensor._accumulate(full)
+        tensor._accumulate(full, owned=True)
 
     return Tensor._make(out_data, (tensor,), backward_fn)
 

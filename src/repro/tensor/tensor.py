@@ -11,6 +11,17 @@ ledger.  Activation lifetime is then modeled faithfully by Python object
 lifetime — saved activations stay referenced by backward closures until
 the graph is released, exactly as a framework keeps activations until
 ``backward()`` completes.
+
+What is tracked is exactly every ``Tensor.data`` and every ``.grad``.
+Scratch an op allocates inside its forward or its backward closure (a
+mask, a product it hands to ``_accumulate``, a workspace) is not, unless
+it becomes one of those two.  ``gnn/footprint.py`` and the Eq. 1-2
+estimator are calibrated against that set, so the rule for changing an
+op is: making it cheaper may add, drop or reuse scratch freely, but a
+change to *which* buffers end up as ``.data`` / ``.grad`` (fusing two
+nodes into one, recomputing instead of saving) moves the ledger's peak,
+K and the schedule, and must change ``gnn/footprint.py`` in the same PR.
+``tests/device/test_ledger_neutrality.py`` pins the set.
 """
 
 from __future__ import annotations
@@ -24,6 +35,10 @@ from repro.config import FLOAT_DTYPE
 from repro.errors import AutogradError
 
 _GRAD_ENABLED = True
+_FLOAT = np.dtype(FLOAT_DTYPE)
+#: Index components numpy treats as basic indexing: the result is a view,
+#: so no element of the source is selected twice.
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
 
 
 @contextlib.contextmanager
@@ -36,6 +51,13 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+def _is_basic_index(key) -> bool:
+    for component in key if type(key) is tuple else (key,):
+        if not isinstance(component, _BASIC_INDEX) or isinstance(component, bool):
+            return False
+    return True
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -137,19 +159,57 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        device = next((p.device for p in parents if p.device is not None), None)
-        return Tensor(
-            data,
-            requires_grad=requires,
-            device=device,
-            _parents=tuple(p for p in parents if p.requires_grad),
-            _backward_fn=backward_fn if requires else None,
-        )
+        """The result node of an op: ``data`` is the array it just computed.
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+        Fills the slots directly — one pass over ``parents`` — instead of
+        going through ``__init__``'s coercion of arbitrary input.
+        """
+        if type(data) is not np.ndarray:
+            data = np.asarray(data)  # reductions return numpy scalars
+        if data.dtype != _FLOAT and data.dtype.kind == "f":
+            data = data.astype(_FLOAT)
+        device = None
+        needs_grad = []
+        for parent in parents:
+            if device is None:
+                device = parent.device
+            if parent.requires_grad:
+                needs_grad.append(parent)
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.grad = None
+        out.device = device
+        if needs_grad and _GRAD_ENABLED:
+            out.requires_grad = True
+            out._parents = tuple(needs_grad)
+            out._backward_fn = backward_fn
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward_fn = None
+        if device is not None:
+            device.track(data)
+        return out
+
+    def _accumulate(self, grad: np.ndarray, *, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` says ``grad`` is a temporary the calling closure just
+        computed and drops: the first touch then adopts it as the
+        gradient buffer instead of copying it — when it is what the copy
+        would have been, an array of this dtype owning exactly its own
+        bytes, so the ledger charges the same either way.
+        """
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            if (
+                owned
+                and type(grad) is np.ndarray
+                and grad.base is None
+                and grad.dtype == self.data.dtype
+            ):
+                self.grad = grad
+            else:
+                self.grad = grad.astype(self.data.dtype, copy=True)
             if self.device is not None:
                 # Gradient buffers live on the device too (they are what
                 # makes backward the memory peak of real training).
@@ -234,7 +294,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return Tensor._make(-self.data, (self,), backward_fn)
 
@@ -250,9 +310,13 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
+                self._accumulate(
+                    _unbroadcast(grad * other.data, self.shape), owned=True
+                )
             if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
+                other._accumulate(
+                    _unbroadcast(grad * self.data, other.shape), owned=True
+                )
 
         return Tensor._make(out_data, (self, other), backward_fn)
 
@@ -264,12 +328,15 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.shape))
+                self._accumulate(
+                    _unbroadcast(grad / other.data, self.shape), owned=True
+                )
             if other.requires_grad:
                 other._accumulate(
                     _unbroadcast(
                         -grad * self.data / (other.data**2), other.shape
-                    )
+                    ),
+                    owned=True,
                 )
 
         return Tensor._make(out_data, (self, other), backward_fn)
@@ -280,7 +347,9 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(
+                grad * exponent * self.data ** (exponent - 1), owned=True
+            )
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -291,10 +360,10 @@ class Tensor:
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
                 g = grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(g, self.shape))
+                self._accumulate(_unbroadcast(g, self.shape), owned=True)
             if other.requires_grad:
                 g = np.swapaxes(self.data, -1, -2) @ grad
-                other._accumulate(_unbroadcast(g, other.shape))
+                other._accumulate(_unbroadcast(g, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward_fn)
 
@@ -328,11 +397,20 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
+        basic = _is_basic_index(key)
 
         def backward_fn(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            np.add.at(full, key, grad)
-            self._accumulate(full)
+            if basic:
+                # A view selects each element at most once: add straight
+                # into the (tracked, allocated once) gradient buffer.
+                if self.grad is None:
+                    self._accumulate(np.zeros_like(self.data), owned=True)
+                self.grad[key] += grad
+            else:
+                # Advanced keys may repeat an index; only add.at sums those.
+                full = np.zeros_like(self.data)
+                np.add.at(full, key, grad)
+                self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -346,7 +424,7 @@ class Tensor:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -368,7 +446,7 @@ class Tensor:
             g = grad if keepdims else np.expand_dims(grad, axis=axis)
             full = np.zeros_like(self.data)
             np.put_along_axis(full, argmax, g, axis=axis)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -380,7 +458,7 @@ class Tensor:
         out_data = self.data * mask
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -388,18 +466,22 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data**2))
+            self._accumulate(grad * (1.0 - out_data**2), owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
     def sigmoid(self) -> "Tensor":
-        # Overflow-safe: exponentiate only negative magnitudes.
-        positive = self.data >= 0
-        z = np.exp(-np.abs(self.data))
-        out_data = np.where(positive, 1.0 / (1.0 + z), z / (1.0 + z))
+        # sigmoid(x) = (1 + tanh(x / 2)) / 2: tanh saturates where exp
+        # would overflow, and every pass after the first is in place.
+        out_data = np.multiply(self.data, 0.5)
+        np.tanh(out_data, out=out_data)
+        out_data *= 0.5
+        out_data += 0.5
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self._accumulate(
+                grad * out_data * (1.0 - out_data), owned=True
+            )
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -407,7 +489,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self._accumulate(grad * out_data, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -415,7 +497,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self._accumulate(grad / self.data, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
 
@@ -425,6 +507,6 @@ class Tensor:
         out_data = self.data * scale
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * scale)
+            self._accumulate(grad * scale, owned=True)
 
         return Tensor._make(out_data, (self,), backward_fn)
