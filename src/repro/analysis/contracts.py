@@ -22,8 +22,7 @@ verifies two kinds of declared invariants instead of guessing them:
   reasoning is greppable and reviewed instead of implicit.
 
 The decorator is metadata-only at runtime — zero overhead, and the
-function object is returned unchanged so bound-method identity (used
-e.g. by ``FeatureStore``'s staged-consumed hook comparison) is
+function object is returned unchanged so bound-method identity is
 preserved.  :func:`assert_holds` is an optional runtime spot-check for
 tests and debugging.
 """

@@ -5,8 +5,8 @@ The static lock-discipline pass sees the code; the sentinel sees the
 mutation records the mutating thread, and a mutation from a second
 thread that does **not** hold the object's lock raises
 :class:`RaceError` at the exact write — turning a once-a-week torn
-counter into a deterministic test failure.  The threaded prefetch /
-pipeline tests enable it around :class:`~repro.store.feature_store
+counter into a deterministic test failure.  The concurrent-gather
+tests enable it around :class:`~repro.store.feature_store
 .FeatureStore` so any future unguarded write fails loudly in CI.
 
 Mechanics (no object cooperation required):

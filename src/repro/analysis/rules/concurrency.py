@@ -96,8 +96,8 @@ class BlockingUnderLockRule(_ConcurrencyRule):
         "a lock is guaranteed held, directly or via a blocking callee."
     )
     invariant = (
-        "Critical sections stay O(bookkeeping): staging, serving, and "
-        "prefetch threads never stall each other behind I/O or waits "
+        "Critical sections stay O(bookkeeping): gathering and serving "
+        "threads never stall each other behind I/O or waits "
         "performed under a shared lock."
     )
 

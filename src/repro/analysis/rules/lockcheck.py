@@ -1,12 +1,12 @@
 """``lock-discipline``: static lock-acquisition analysis of the
-threaded pipeline/store layers.
+store and serving layers.
 
-PRs 2–3 introduced real threads (pipeline workers, the schedule-aware
-prefetcher) whose shared mutable state is guarded by exactly one lock
-per object (``FeatureStore._lock``).  BGL/GSplit-style systems show how
-easily I/O-overlap stages grow unguarded counters and torn aggregates;
-this pass catches the standard mistakes before they become
-once-a-week flaky tests:
+Objects that cross threads (the feature store under a serving worker,
+the serve tier's queue, cache and engine) guard their shared mutable
+state with exactly one lock per object (``FeatureStore._lock``).
+BGL/GSplit-style systems show how easily I/O-overlap stages grow
+unguarded counters and torn aggregates; this pass catches the standard
+mistakes before they become once-a-week flaky tests:
 
 1. **Unguarded writes** — for each class owning a ``threading.Lock`` /
    ``RLock`` attribute, any attribute that is ever mutated while
@@ -272,15 +272,11 @@ class LockDisciplineRule(LintRule):
         "and lock-order cycles in threaded classes"
     )
     invariant = (
-        "pipeline/prefetch/store share mutable state across threads "
+        "store and serve objects share mutable state across threads "
         "guarded by one lock per object; every shared read-modify-write "
         "must hold it"
     )
-    default_scopes = (
-        "src/repro/pipeline/engine.py",
-        "src/repro/store/feature_store.py",
-        "src/repro/store/prefetch.py",
-    )
+    default_scopes = ("src/repro/store/feature_store.py",)
 
     def check(self, ctx: FileContext) -> list[Finding]:
         findings: list[Finding] = []

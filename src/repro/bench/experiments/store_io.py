@@ -7,8 +7,8 @@ synthetic workload (ogbn_papers at benchmark scale):
 
 1. build a store from the in-memory dataset;
 2. replay a realistic gather trace — the per-bucket-group input-node
-   sets of a scheduled training batch, the exact sets the trainer's
-   schedule-aware prefetcher warms;
+   sets of a scheduled training batch, the rows each group's staging
+   gather reads;
 3. time the trace against the in-memory matrix and against the store at
    several hot-cache sizes, recording mean/p95 gather latency, the
    hot-cache hit rate, and bytes read from disk.

@@ -52,7 +52,6 @@ EXPERIMENTS = (
     "ablation_grouping",
     "ablation_estimator",
     "ablation_feature_cache",
-    "pipeline_overlap",
     "store_io",
     "kernels",
     "split_scaling",
@@ -117,33 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "'split' partitions the feature matrix and places bucket groups "
         "by load (shard reads + halo exchange over the interconnect; "
         "see docs/distributed.md)",
-    )
-    train.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=1,
-        help="prefetch depth of the staged execution engine "
-        "(1 = sequential Algorithm 2; gradients are identical either way)",
-    )
-    train.add_argument(
-        "--pipeline-mode",
-        default="auto",
-        choices=["auto", "sync", "threaded"],
-        help="auto: threads when depth > 1; sync: deterministic staged "
-        "schedule without threads",
-    )
-    train.add_argument(
-        "--reuse-features",
-        action="store_true",
-        help="pin feature rows shared by consecutive bucket groups in a "
-        "device cache (cross-group reuse)",
-    )
-    train.add_argument(
-        "--feature-cache-bytes",
-        type=int,
-        default=None,
-        help="byte budget of the device feature cache used by "
-        "--reuse-features (default: 10%% of device capacity)",
     )
     train.add_argument(
         "--kernel-backend",
@@ -703,9 +675,6 @@ def _train_ledger_record(args, trainer, recorder, fanouts):
         "epochs": args.epochs,
         "batch_size": args.batch_size,
         "seed": args.seed,
-        "pipeline_depth": args.pipeline_depth,
-        "pipeline_mode": args.pipeline_mode,
-        "reuse_features": args.reuse_features,
         "kernel_backend": args.kernel_backend,
         "devices": args.devices,
         "parallel": trainer.parallel,
@@ -715,8 +684,6 @@ def _train_ledger_record(args, trainer, recorder, fanouts):
     }
     if trainer.store is not None:
         peaks["store"] = float(trainer.store.peak_resident_bytes)
-    if trainer.feature_cache is not None:
-        peaks["cache"] = float(trainer.feature_cache.resident_bytes)
     workspace = getattr(trainer.trainers[0].kernel, "workspace", None)
     if workspace is not None:
         peaks["workspace"] = float(workspace.peak_bytes)
@@ -732,10 +699,6 @@ def _train_ledger_record(args, trainer, recorder, fanouts):
     if trainer.telemetry.samples:
         metrics["estimator.mean_abs_rel_error"] = float(
             trainer.telemetry.mean_abs_rel_error()
-        )
-    if trainer.feature_cache is not None:
-        metrics["feature_cache.hit_rate"] = float(
-            trainer.feature_cache.hit_rate
         )
     if trainer.store is not None:
         metrics["store.hot_hit_rate"] = float(trainer.store.hot_hit_rate)
@@ -764,7 +727,6 @@ def _cmd_train(args) -> int:
             f"--fanouts needs {args.layers} values for --layers {args.layers}"
         )
     _require_positive(args.budget_gb, "--budget-gb (memory budget)")
-    _require_positive(args.feature_cache_bytes, "--feature-cache-bytes")
     _require_positive(args.hot_cache_mb, "--hot-cache-mb")
     _require_positive(args.host_budget_mb, "--host-budget-mb")
     _require_positive(args.devices, "--devices")
@@ -819,10 +781,6 @@ def _cmd_train(args) -> int:
             fanouts=fanouts,
             seed=args.seed,
             parallel=args.parallel if multi else "data",
-            pipeline_depth=args.pipeline_depth,
-            pipeline_mode=args.pipeline_mode,
-            reuse_features=args.reuse_features,
-            feature_cache_bytes=args.feature_cache_bytes,
             kernel_backend=args.kernel_backend,
         )
     except ReproError as exc:
@@ -919,13 +877,6 @@ def _cmd_train(args) -> int:
             f"exchanged, all-reduce "
             f"{fleet.allreduce_bytes / 2**20:.2f} MiB, "
             f"sim {fleet.sim_time_s * 1e3:.2f} ms"
-        )
-    feature_cache = trainer.feature_cache
-    if feature_cache is not None:
-        print(
-            f"feature-cache hit rate: {feature_cache.hit_rate:.1%}"
-            f"  ({feature_cache.hits} hits,"
-            f" {feature_cache.misses} misses)"
         )
     store = trainer.store
     if store is not None:

@@ -8,9 +8,10 @@ Wires the full online pipeline of Fig. 6 for one training iteration:
    constraint;
 4. place the bucket groups on the fleet's devices (the ``data`` or
    ``split`` placement policy; trivial on one device);
-5. materialize micro-batches (fast block generation per group) and
-   train them with gradient accumulation (Algorithm 2) through the
-   staged engine, then reduce once and step every replica.
+5. per group, in schedule order: materialize the micro-batch (fast
+   block generation), gather its input rows, and train it with gradient
+   accumulation (Algorithm 2) — the engine's one in-line loop — then
+   reduce once and step every replica.
 
 All phases are profiled with the Fig. 11 phase names.
 """
@@ -35,7 +36,6 @@ from repro.core.split_parallel import (
 from repro.core.trainer import MicroBatchTrainer, TrainResult
 from repro.datasets.catalog import Dataset
 from repro.device.device import SimulatedGPU
-from repro.device.feature_cache import FeatureCache
 from repro.device.fleet import DeviceFleet
 from repro.device.profiler import Profiler
 from repro.errors import (
@@ -53,13 +53,8 @@ from repro.nn.optim import Adam
 from repro.obs.estimator import EstimatorTelemetry
 from repro.obs.metrics import BYTE_BUCKETS, SMALL_COUNT_BUCKETS, get_metrics
 from repro.obs.trace import get_tracer
-from repro.pipeline.engine import (
-    PipelineConfig,
-    PipelineEngine,
-    PipelineReport,
-)
-from repro.pipeline.reuse import FeatureReuseManager
-from repro.store import FeatureStore, SchedulePrefetcher
+from repro.pipeline.engine import PipelineEngine, PipelineReport
+from repro.store import FeatureStore
 
 
 def build_model(spec: ModelSpec, *, rng: int = 0):
@@ -101,7 +96,7 @@ class IterationReport:
             the phase profiler.
         plan: the executed schedule (regrouped to K >= N by the
             ``split`` policy when Algorithm 3 returned fewer groups).
-        pipeline: per-micro-batch stage timings of the staged engine.
+        pipeline: per-micro-batch stage timings of the engine.
         assignments: device index of each bucket group, schedule order.
         per_device_peaks: worst micro-batch peak on each device.
         sim_time_s: the fleet clock after this iteration (slowest
@@ -161,26 +156,6 @@ class BuffaloTrainer:
             rows are read from the local shard and halo rows cross the
             interconnect.  Gradients are bit-for-bit identical under
             either policy at any N.
-        pipeline_depth: prefetch-queue depth of the staged execution
-            engine; ``1`` (the default) keeps the strictly sequential
-            Algorithm 2 schedule.  Any depth yields bit-identical
-            gradients — only stage overlap changes.
-        pipeline_mode: ``"auto"`` | ``"sync"`` | ``"threaded"`` (see
-            :class:`~repro.pipeline.engine.PipelineConfig`).
-        reuse_features: pin feature rows that consecutive bucket groups
-            both request in a device-resident cache, so they cross PCIe
-            once per iteration instead of once per group.  A
-            single-device, host-transfer staging policy: rejected on
-            more than one device and under ``parallel="split"``.
-        feature_cache_bytes: byte budget of the reuse cache; defaults
-            to 10% of the device capacity.
-        store_prefetch: when the dataset's features are served by an
-            out-of-core :class:`~repro.store.FeatureStore`, warm each
-            bucket group's input rows ahead of its compute using the
-            schedule's input-node sets (on by default; numerics are
-            identical either way).
-        store_prefetch_depth: staged groups the prefetcher may run
-            ahead (defaults to ``max(2, pipeline_depth)``).
         kernel_backend: bucket-aggregation kernel backend,
             ``"reference"`` (dense gather, bit-for-bit legacy
             semantics) or ``"fused"`` (CSR segment-reduce, no
@@ -194,6 +169,9 @@ class BuffaloTrainer:
             0's, by convention.
         trainers: one :class:`~repro.core.trainer.MicroBatchTrainer`
             per device.
+        store: the dataset's out-of-core
+            :class:`~repro.store.FeatureStore` (``None`` for an
+            in-memory feature matrix).
     """
 
     def __init__(
@@ -209,12 +187,6 @@ class BuffaloTrainer:
         seed: int = 0,
         k_max: int = 128,
         parallel: str = "data",
-        pipeline_depth: int = 1,
-        pipeline_mode: str = "auto",
-        reuse_features: bool = False,
-        feature_cache_bytes: int | None = None,
-        store_prefetch: bool = True,
-        store_prefetch_depth: int | None = None,
         kernel_backend: str = "reference",
     ) -> None:
         if spec.in_dim != dataset.feat_dim:
@@ -236,15 +208,6 @@ class BuffaloTrainer:
             if isinstance(device, DeviceFleet)
             else DeviceFleet.of(device)
         )
-        # The one rule about what does not compose: the reuse cache
-        # lives on a single device and prices host->device transfers.
-        if reuse_features and (fleet.n_devices > 1 or parallel == "split"):
-            raise ReproError(
-                f"reuse_features does not compose with "
-                f"{fleet.n_devices} device(s) under parallel="
-                f"{parallel!r}: the reuse cache is a single-device "
-                f"host-transfer staging policy"
-            )
         self.dataset = dataset
         self.spec = spec
         self.fleet = fleet
@@ -282,75 +245,44 @@ class BuffaloTrainer:
         first = self.trainers[0]
         self.model = first.model
         self.optimizer = first.optimizer
-        self.pipeline_config = PipelineConfig(
-            depth=pipeline_depth, mode=pipeline_mode
-        )
-        self.engine = PipelineEngine(self.trainers, self.pipeline_config)
-        # Per-device staging price (the trainers' ``reuse`` hook): empty
-        # = host->device transfer, the reuse cache, or under the split
-        # policy shard reads + halo exchange.  The math is untouched.
-        self.feature_cache: FeatureCache | None = None
-        self.reuse: FeatureReuseManager | None = None
-        if reuse_features:
-            feat_bytes = int(
-                dataset.feat_dim * dataset.features.dtype.itemsize
-            )
-            if feature_cache_bytes is None:
-                feature_cache_bytes = (
-                    int(0.1 * capacity) if capacity else 64 << 20
-                )
-            feature_cache_bytes = max(feature_cache_bytes, feat_bytes)
-            self.feature_cache = FeatureCache(
-                self.device, feat_bytes, feature_cache_bytes
-            )
-            self.reuse = FeatureReuseManager(self.feature_cache)
-            first.reuse = self.reuse
+        self.engine = PipelineEngine(self.trainers)
         self.owner: np.ndarray | None = None
         if parallel == "split":
+            # Per-device staging price: shard reads + halo exchange in
+            # place of the host->device transfer.  The math is untouched.
             self.owner = partition_nodes(
                 dataset.graph.n_nodes, fleet.n_devices
             )
             row_bytes = input_feature_bytes(1, dataset.feat_dim)
             for d, trainer in enumerate(self.trainers):
-                trainer.reuse = ShardStager(
+                trainer.stager = ShardStager(
                     fleet, d, self.owner, row_bytes
                 )
-        # Out-of-core datasets expose their features as a FeatureStore;
-        # the schedule-aware prefetcher overlaps its shard reads with
-        # compute, one bucket group ahead of the trainer.
+        # Out-of-core datasets expose their features as a FeatureStore.
         self.store: FeatureStore | None = (
             dataset.features
             if isinstance(dataset.features, FeatureStore)
             else None
         )
-        self.prefetcher: SchedulePrefetcher | None = None
-        if self.store is not None and store_prefetch:
-            self.prefetcher = SchedulePrefetcher(
-                self.store,
-                depth=store_prefetch_depth or max(2, pipeline_depth),
-                threaded=self.pipeline_config.threaded,
-            )
         self.telemetry = EstimatorTelemetry()
         self.timeline = None
         self._iteration = 0
 
     # ------------------------------------------------------------------
     def attach_timeline(self, *, max_samples: int = 100_000):
-        """Attach a four-tier memory timeline recorder to this trainer.
+        """Attach a three-tier memory timeline recorder to this trainer.
 
         Wires the recorder to the fleet's allocation ledgers
         (``live_bytes`` = sum over devices, ``peak_bytes`` = worst
         single device), the out-of-core feature store (when present),
-        the feature-reuse cache (when enabled), and the kernel
-        workspace arena; every replica samples after each of its
-        micro-batches.  Returns the recorder.
+        and the kernel workspace arena; every replica samples after
+        each of its micro-batches.  Returns the recorder.
         """
         from repro.obs.observatory.timeline import MemoryTimelineRecorder
 
         self.timeline = MemoryTimelineRecorder(
             device=self.fleet,
             store=self.store,
-            cache=self.feature_cache,
             workspace=getattr(self.trainers[0].kernel, "workspace", None),
             max_samples=max_samples,
         )
@@ -402,33 +334,24 @@ class BuffaloTrainer:
     def _place(self, batch, blocks, plan, profiler):
         """Apply the placement policy to a scheduled batch.
 
-        Returns ``(plan, input_sets, assignments, placement)``: the plan
-        (regrouped to K >= N by the split policy if need be), the
-        groups' *global* input node sets in schedule order (computed
-        once for every consumer; ``None`` when there is none), the
-        group -> device assignment, and the split policy's placement
-        record (``None`` under ``data``).
+        Returns ``(plan, assignments, placement)``: the plan (regrouped
+        to K >= N by the split policy if need be), the group -> device
+        assignment, and the split policy's placement record (``None``
+        under ``data``).
         """
         n_devices = self.fleet.n_devices
-        constraint = self.scheduler.memory_constraint
-        regrouped = False
-        if self.parallel == "split":
-            with profiler.phase("buffalo_scheduling"):
-                plan, regrouped = ensure_group_count(
-                    plan, n_devices, constraint
-                )
-        input_sets = None
-        if (
-            self.parallel == "split"
-            or self.reuse is not None
-            or self.prefetcher is not None
-        ):
-            input_sets = [
-                batch.node_map[s] for s in plan.input_node_sets(blocks)
-            ]
         if self.parallel == "data":
-            assignments = [i % n_devices for i in range(plan.k)]
-            return plan, input_sets, assignments, None
+            return plan, [i % n_devices for i in range(plan.k)], None
+        constraint = self.scheduler.memory_constraint
+        with profiler.phase("buffalo_scheduling"):
+            plan, regrouped = ensure_group_count(
+                plan, n_devices, constraint
+            )
+        # The groups' *global* input node sets, schedule order: what
+        # the placement weighs halo traffic with.
+        input_sets = [
+            batch.node_map[s] for s in plan.input_node_sets(blocks)
+        ]
         with profiler.phase("placement"), get_tracer().span(
             "split.placement", {"k": plan.k, "n_devices": n_devices}
         ) as span:
@@ -442,7 +365,7 @@ class BuffaloTrainer:
                     "halo_rows": placement.halo_bytes_estimate,
                 }
             )
-        return plan, input_sets, placement.assignments, placement
+        return plan, placement.assignments, placement
 
     def run_iteration(
         self,
@@ -453,7 +376,7 @@ class BuffaloTrainer:
         """One full online-training iteration (Fig. 6 pipeline).
 
         Plan (sample -> blocks -> schedule -> place), execute the groups
-        in schedule order through the staged engine — each on its
+        in schedule order through the engine — each on its
         assigned device's replica, all recording into one shared
         schedule-order gradient reduction that every replica installs
         before stepping — then price one gradient all-reduce on the
@@ -486,7 +409,7 @@ class BuffaloTrainer:
             ) as iter_span:
                 try:
                     batch, blocks, plan, profiler = self._plan_batch(seeds)
-                    plan, input_sets, assignments, placement = self._place(
+                    plan, assignments, placement = self._place(
                         batch, blocks, plan, profiler
                     )
                 except SchedulingError:
@@ -501,10 +424,6 @@ class BuffaloTrainer:
                 exchange_before = fleet.exchange_time_s
                 allreduce_before = fleet.allreduce_bytes
                 try:
-                    if self.reuse is not None:
-                        self.reuse.begin_iteration(input_sets)
-                    if self.prefetcher is not None:
-                        self.prefetcher.begin_iteration(input_sets)
                     result, micro_batches, pipeline_report = (
                         self.engine.run(
                             self.dataset,
@@ -519,11 +438,6 @@ class BuffaloTrainer:
                     if attempt == max_oom_retries:
                         raise
                     oom_info = (exc.requested, exc.live, exc.capacity)
-                finally:
-                    if self.reuse is not None:
-                        self.reuse.end_iteration()
-                    if self.prefetcher is not None:
-                        self.prefetcher.end_iteration()
                 if oom_info is None:
                     iter_span.set_attrs(
                         {
@@ -537,13 +451,8 @@ class BuffaloTrainer:
                 # its traceback, which pins the failed iteration's
                 # activation graph in the device ledger) is released.
                 last_oom = DeviceOutOfMemoryError(*oom_info)
-                del batch, blocks, plan, input_sets, placement, profiler
+                del batch, blocks, plan, placement, profiler
                 gc.collect()
-                if self.feature_cache is not None:
-                    # Release cached rows: the retry recomputes the
-                    # constraint from the device's real headroom, and
-                    # resident cache bytes would distort it.
-                    self.feature_cache.clear()
                 # Snap to the tightest device's real headroom (minus
                 # resident parameters), then keep shaving 25% per
                 # further OOM.

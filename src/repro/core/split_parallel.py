@@ -228,10 +228,9 @@ def plan_placement(
 class ShardStager:
     """Feature staging policy pricing shard reads + halo exchange.
 
-    Duck-types the ``reuse`` hook of
-    :meth:`~repro.core.trainer.MicroBatchTrainer._load_features`:
+    Installed as :attr:`~repro.core.trainer.MicroBatchTrainer.stager`:
     ``stage(global_nodes)`` returns the simulated staging duration
-    (the ``data`` policy leaves the hook empty: host->device transfer).
+    (the ``data`` policy leaves it ``None``: host->device transfer).
     Owned rows cost device-memory bandwidth on the executing device;
     halo rows cross the interconnect with one latency charge per peer
     that owns any of them.  Partitioning changes modeled time, never

@@ -12,12 +12,12 @@ clock via the analytic cost model, while the device's allocation ledger
 observes the real activation bytes of the numpy execution.
 
 The iteration is decomposed into ``begin_iteration`` /
-``train_micro_batch`` / ``finish_iteration`` so that alternative
-drivers — notably the staged producer/consumer engine in
-:mod:`repro.pipeline.engine` — replay exactly the same operations in
-exactly the same order as :meth:`MicroBatchTrainer.train_iteration`,
-keeping gradient accumulation bit-for-bit identical regardless of how
-micro-batches are prepared.
+``train_micro_batch`` / ``finish_iteration`` so that the iteration loop
+in :mod:`repro.pipeline.engine` — which materializes and stages one
+group at a time and may dispatch groups to different replicas — replays
+exactly the same operations in exactly the same order as
+:meth:`MicroBatchTrainer.train_iteration`, keeping gradient
+accumulation bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.split_parallel import ShardStager
 from repro.datasets.catalog import Dataset
 from repro.device.device import SimulatedGPU
 from repro.device.profiler import Profiler
@@ -168,13 +169,11 @@ class MicroBatchTrainer:
             arena is reused across micro-batches.
 
     Attributes:
-        reuse: optional cross-group feature-reuse manager (a
-            :class:`~repro.pipeline.reuse.FeatureReuseManager`).  When
-            set, the simulated host->device feature transfer is routed
-            through the device feature cache so rows shared between
-            consecutive micro-batches are not re-transferred.  The
-            numerics are unaffected — only the modeled transfer time
-            changes.
+        stager: under the ``split`` placement policy, the
+            :class:`~repro.core.split_parallel.ShardStager` pricing
+            this replica's input rows as shard reads + halo exchange;
+            ``None`` prices them as one host->device transfer.  Only
+            the simulated staging time differs — never the numerics.
     """
 
     def __init__(
@@ -192,7 +191,7 @@ class MicroBatchTrainer:
         self.device = device
         self.kernel = resolve_backend(kernel_backend)
         self._contributions = GradientContributions()
-        self.reuse = None
+        self.stager: ShardStager | None = None
         # Optional MemoryTimelineRecorder (obs.observatory.timeline);
         # None keeps the hot path at a single attribute check.
         self.timeline = None
@@ -220,19 +219,18 @@ class MicroBatchTrainer:
     ) -> Tensor:
         """Place the input features on device.
 
-        ``staged`` supplies a host-side feature array gathered ahead of
-        time by a pipeline staging worker; when absent the gather runs
-        inline.  Either way the simulated transfer is charged here, in
-        the compute thread, so the device clock and ledger advance in
-        schedule order.
+        ``staged`` supplies the host-side feature array the engine's
+        staging step already gathered; when absent the gather runs
+        here.  Either way the simulated transfer is charged here, so
+        the device clock and ledger advance in schedule order.
         """
         global_nodes = node_map[block.src_nodes]
         features = (
             staged if staged is not None else dataset.features[global_nodes]
         )
         if self.device is not None:
-            if self.reuse is not None:
-                duration = self.reuse.stage(global_nodes)
+            if self.stager is not None:
+                duration = self.stager.stage(global_nodes)
             else:
                 duration = self.device.load(features.nbytes)
             profiler.add_sim("data_loading", duration)

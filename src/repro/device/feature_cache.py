@@ -8,13 +8,6 @@ byte budget carved out of the device's memory) and loads only the
 missing rows — the tiered-memory direction the paper's related work
 points at.
 
-Rows can additionally be *pinned*: the cross-group reuse layer
-(:mod:`repro.pipeline.reuse`) consults the grouping plan's input-node
-overlap and pins rows that later bucket groups will request again, so
-they survive LRU pressure from the intervening single-use rows.  Pinned
-rows are exempt from eviction until unpinned; to keep the cache
-bounded, at most half the row capacity may be pinned at once.
-
 The cache is deliberately conservative about memory: its resident bytes
 are tracked as a symbolic allocation on the device ledger, so a cache
 that would crowd out activations shows up as OOM, exactly like an
@@ -61,7 +54,6 @@ class FeatureCache:
         self.capacity_bytes = int(capacity_bytes)
         self.max_rows = self.capacity_bytes // self.feat_bytes
         self._resident: OrderedDict[int, None] = OrderedDict()
-        self._pinned: set[int] = set()
         self._handle = device.alloc(0)  # grows with residency
         self._resident_bytes = 0
         self.hits = 0
@@ -73,21 +65,6 @@ class FeatureCache:
         self.device.free(self._handle)
         self._resident_bytes = n_rows * self.feat_bytes
         self._handle = self.device.alloc(self._resident_bytes)
-
-    def _evict_to_capacity(self) -> None:
-        """Evict unpinned rows, LRU first, until within ``max_rows``.
-
-        Pinned rows are skipped; when every resident row is pinned the
-        loop stops (the pin budget guarantees this cannot exceed half
-        the capacity, so residency stays bounded).
-        """
-        while len(self._resident) > self.max_rows:
-            victim = next(
-                (n for n in self._resident if n not in self._pinned), None
-            )
-            if victim is None:
-                break
-            del self._resident[victim]
 
     def load(self, nodes: np.ndarray) -> float:
         """Ensure ``nodes``' features are on device; returns transfer s."""
@@ -101,61 +78,12 @@ class FeatureCache:
             self.misses += 1
             missing += 1
             self._resident[node] = None
-            self._evict_to_capacity()
+            while len(self._resident) > self.max_rows:
+                self._resident.popitem(last=False)
         self._resize(len(self._resident))
         if missing == 0:
             return 0.0
         return self.device.load(missing * self.feat_bytes)
-
-    # ------------------------------------------------------------------
-    # Pinning (cross-group reuse)
-    # ------------------------------------------------------------------
-    @property
-    def max_pinned_rows(self) -> int:
-        """Pin budget: at most half the capacity may be pinned."""
-        return max(self.max_rows // 2, 1)
-
-    def pin(self, nodes: np.ndarray) -> int:
-        """Mark ``nodes`` exempt from eviction; returns rows pinned.
-
-        Nodes need not be resident yet — pinning applies as soon as a
-        later :meth:`load` brings them in.  Requests beyond the pin
-        budget are ignored (first-come, first-pinned), keeping the
-        cache's eviction loop live.
-        """
-        nodes = np.asarray(nodes).ravel()
-        pinned = 0
-        budget = self.max_pinned_rows
-        for node in nodes.tolist():
-            if node in self._pinned:
-                continue
-            if len(self._pinned) >= budget:
-                break
-            self._pinned.add(node)
-            pinned += 1
-        return pinned
-
-    def unpin(self, nodes: np.ndarray) -> None:
-        """Make ``nodes`` evictable again (no-op for unpinned nodes)."""
-        nodes = np.asarray(nodes).ravel()
-        self._pinned.difference_update(int(n) for n in nodes.tolist())
-        self._evict_to_capacity()
-        self._resize(len(self._resident))
-
-    def clear_pins(self) -> None:
-        """Drop every pin and re-apply the LRU bound."""
-        self._pinned.clear()
-        self._evict_to_capacity()
-        self._resize(len(self._resident))
-
-    @property
-    def pinned_rows(self) -> int:
-        return len(self._pinned)
-
-    @property
-    def pinned_resident_rows(self) -> int:
-        """Pinned rows currently resident on the device."""
-        return sum(1 for n in self._pinned if n in self._resident)
 
     # ------------------------------------------------------------------
     @property
@@ -174,7 +102,6 @@ class FeatureCache:
     def clear(self) -> None:
         """Drop all cached rows and release the device bytes."""
         self._resident.clear()
-        self._pinned.clear()
         self._resize(0)
         self.hits = 0
         self.misses = 0

@@ -6,9 +6,9 @@ Three parts (ISSUE 6):
   per-run performance records appended to ``benchmarks/ledger/*.jsonl``
   with cross-run regression gating (``repro ledger``);
 * :mod:`~repro.obs.observatory.timeline` — sampling recorder for the
-  four memory tiers (device ledger, feature store, feature cache,
-  kernel workspace), the real-run analogue of the paper's Fig. 6;
-* :mod:`~repro.obs.observatory.critical_path` — pipeline-DAG
+  three memory tiers (device ledger, feature store, kernel
+  workspace), the real-run analogue of the paper's Fig. 6;
+* :mod:`~repro.obs.observatory.critical_path` — execution-DAG
   reconstruction from thread-tagged spans: critical-path vs. overlapped
   slack attribution plus folded-stacks export for flamegraph tools.
 

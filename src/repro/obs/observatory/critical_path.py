@@ -1,18 +1,16 @@
-"""Critical-path profiler: pipeline DAG from thread-tagged span events.
+"""Critical-path profiler: execution DAG from thread-tagged span events.
 
-The pipelined engine runs block generation and feature staging on
-worker threads ("buffalo-blockgen", "buffalo-staging") while compute
-stays on the caller thread; the store prefetcher adds a third worker
-("buffalo-store-prefetch").  Spans carry their emitting thread name
-(schema field ``thread``), so a trace file contains enough structure to
-rebuild the execution DAG:
+Training runs on the caller thread; the serving tier adds worker
+threads.  Spans carry their emitting thread name (schema field
+``thread``), so a trace file contains enough structure to rebuild the
+execution DAG:
 
 * spans on the **main thread** (the thread owning the longest root
   span) form the critical path — their self time is wall time the run
   cannot hide;
-* spans on **worker threads** are overlapped slack — busy time that the
-  pipeline hid behind the critical path (or failed to, when it exceeds
-  the main-thread interval).
+* spans on **worker threads** are overlapped slack — busy time hidden
+  behind the critical path (or not, when it exceeds the main-thread
+  interval).
 
 The report attributes main-thread wall time to named spans
 (self time = duration minus same-thread child durations) and exports a

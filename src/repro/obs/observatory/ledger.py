@@ -525,7 +525,6 @@ class RunRecorder:
             "pipeline.block_gen",
             "pipeline.stage_features",
             "pipeline.compute",
-            "store.prefetch",
         }
     )
 

@@ -1,13 +1,11 @@
 """Memory timeline: per-iteration multi-tier resident-bytes sampling.
 
-The recorder subscribes to the four memory tiers of a Buffalo run —
+The recorder subscribes to the three memory tiers of a Buffalo run —
 
 * **device** — :class:`~repro.device.device.SimulatedGPU` allocation
   ledger (``live_bytes`` / ``peak_bytes``);
 * **store** — :class:`~repro.store.feature_store.FeatureStore`
-  host-resident bytes (hot cache + slots + staged gathers);
-* **cache** — :class:`~repro.device.feature_cache.FeatureCache`
-  pinned/LRU rows resident on the device;
+  host-resident bytes (hot cache + slots);
 * **workspace** — the kernel :class:`~repro.kernels.workspace.Workspace`
   arena bytes;
 
@@ -38,7 +36,7 @@ __all__ = [
 
 TIMELINE_VERSION = 1
 
-TIERS = ("device", "store", "cache", "workspace")
+TIERS = ("device", "store", "workspace")
 
 
 class TimelineError(ReproError):
@@ -56,7 +54,6 @@ class TimelineSample:
     device_live_bytes: float
     device_peak_bytes: float
     store_resident_bytes: float
-    cache_resident_bytes: float
     workspace_bytes: float
 
     def to_dict(self) -> dict[str, Any]:
@@ -69,12 +66,13 @@ class TimelineSample:
             "device_live_bytes": self.device_live_bytes,
             "device_peak_bytes": self.device_peak_bytes,
             "store_resident_bytes": self.store_resident_bytes,
-            "cache_resident_bytes": self.cache_resident_bytes,
             "workspace_bytes": self.workspace_bytes,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TimelineSample":
+        # Unknown keys are ignored, so files written while the timeline
+        # still had a ``cache_resident_bytes`` tier keep loading.
         try:
             return cls(
                 index=int(data["index"]),
@@ -84,7 +82,6 @@ class TimelineSample:
                 device_live_bytes=float(data["device_live_bytes"]),
                 device_peak_bytes=float(data["device_peak_bytes"]),
                 store_resident_bytes=float(data["store_resident_bytes"]),
-                cache_resident_bytes=float(data["cache_resident_bytes"]),
                 workspace_bytes=float(data["workspace_bytes"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -92,7 +89,7 @@ class TimelineSample:
 
 
 class MemoryTimelineRecorder:
-    """Samples the four memory tiers on demand.
+    """Samples the three memory tiers on demand.
 
     Any tier source may be ``None`` (e.g. an in-memory run has no
     feature store); that tier then reads 0.  Sources are read through
@@ -104,14 +101,12 @@ class MemoryTimelineRecorder:
         self,
         device: Any = None,
         store: Any = None,
-        cache: Any = None,
         workspace: Any = None,
         *,
         max_samples: int = 100_000,
     ) -> None:
         self.device = device
         self.store = store
-        self.cache = cache
         self.workspace = workspace
         self.max_samples = int(max_samples)
         self.samples: list[TimelineSample] = []
@@ -146,7 +141,6 @@ class MemoryTimelineRecorder:
             device_live_bytes=self._read(self.device, "live_bytes"),
             device_peak_bytes=self._read(self.device, "peak_bytes"),
             store_resident_bytes=self._read(self.store, "resident_bytes"),
-            cache_resident_bytes=self._read(self.cache, "resident_bytes"),
             workspace_bytes=self._read(self.workspace, "nbytes"),
         )
         self.samples.append(s)
@@ -159,7 +153,6 @@ class MemoryTimelineRecorder:
             peaks["device"] = max(peaks["device"], s.device_live_bytes,
                                   s.device_peak_bytes)
             peaks["store"] = max(peaks["store"], s.store_resident_bytes)
-            peaks["cache"] = max(peaks["cache"], s.cache_resident_bytes)
             peaks["workspace"] = max(peaks["workspace"], s.workspace_bytes)
         return peaks
 
@@ -209,7 +202,7 @@ def render_timeline(
     """
     header = [
         "idx", "iter", "label", "t_s",
-        "device_live", "device_peak", "store", "cache", "workspace",
+        "device_live", "device_peak", "store", "workspace",
     ]
     if csv:
         lines = [",".join(header)]
@@ -224,7 +217,6 @@ def render_timeline(
                         f"{s.device_live_bytes:.0f}",
                         f"{s.device_peak_bytes:.0f}",
                         f"{s.store_resident_bytes:.0f}",
-                        f"{s.cache_resident_bytes:.0f}",
                         f"{s.workspace_bytes:.0f}",
                     ]
                 )
@@ -250,7 +242,6 @@ def render_timeline(
                 _fmt_bytes(s.device_live_bytes),
                 _fmt_bytes(s.device_peak_bytes),
                 _fmt_bytes(s.store_resident_bytes),
-                _fmt_bytes(s.cache_resident_bytes),
                 _fmt_bytes(s.workspace_bytes),
                 bar,
             ]

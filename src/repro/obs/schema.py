@@ -43,18 +43,9 @@ METRIC_NAMES = frozenset(
         "buffalo.estimator_rel_error",
         "buffalo.estimator_predicted_bytes",
         "buffalo.estimator_actual_bytes",
-        # pipelined execution (pipeline/engine.py)
-        "buffalo.pipeline.queue_wait_s",
+        # the iteration loop (pipeline/engine.py)
         "buffalo.pipeline.staging_s",
         "buffalo.pipeline.iterations",
-        "buffalo.pipeline.depth",
-        "buffalo.pipeline.modeled_speedup",
-        # cross-group feature reuse (pipeline/reuse.py)
-        "buffalo.feature_cache.planned_pins",
-        "buffalo.feature_cache.hits",
-        "buffalo.feature_cache.misses",
-        "buffalo.feature_cache.pinned_rows",
-        "buffalo.feature_cache.hit_rate",
         # kernel layer (kernels/workspace.py, kernels/fused.py)
         "buffalo.kernel.workspace_bytes",
         "buffalo.kernel.workspace_peak_bytes",
@@ -62,13 +53,11 @@ METRIC_NAMES = frozenset(
         "buffalo.kernel.workspace_allocs",
         "buffalo.kernel.reduce_calls",
         "buffalo.kernel.dense_fallbacks",
-        # out-of-core store (store/feature_store.py, store/prefetch.py)
-        "buffalo.store.prefetch_iterations",
+        # out-of-core store (store/feature_store.py)
         "buffalo.store.peak_resident_bytes",
         "buffalo.store.disk_bytes_read",
         "buffalo.store.gather_s",
         "buffalo.store.gather_bytes",
-        "buffalo.store.prefetch_declined",
         # multi-device fleet (core/split_parallel.py)
         "buffalo.device.count",
         "buffalo.device.peak_bytes",

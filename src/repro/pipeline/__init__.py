@@ -1,48 +1,21 @@
-"""``repro.pipeline`` — pipelined micro-batch execution (beyond the paper).
+"""``repro.pipeline`` — the micro-batch iteration loop.
 
-Algorithm 2's inner loop is a clean producer/consumer chain: block
-generation and host-side feature staging are independent of device
-compute, and consecutive bucket groups share input-node cones (the
-redundancy Eq. 1–2 quantify).  This package exploits both:
+* :mod:`engine` — runs the K scheduled groups through *block generation
+  → feature staging → compute*, in line on the caller thread and in
+  schedule order, timing each stage per micro-batch;
+* :mod:`model` — the stage-timing record and the fleet makespan the
+  ``split_scaling`` experiment derives from it.
 
-* :mod:`engine` — a staged execution engine running *block generation →
-  feature staging → compute* over the K scheduled groups behind
-  depth-limited prefetch queues, with a deterministic synchronous mode;
-* :mod:`reuse` — a cross-group feature-reuse layer that pins
-  redundantly-requested feature rows in the device cache between
-  consecutive groups, guided by the plan's input-node overlap;
-* :mod:`model` — the analytic overlap model turning measured per-stage
-  durations into sequential-vs-pipelined epoch times.
-
-Gradient accumulation semantics are preserved bit-for-bit: compute
-consumes micro-batches in schedule order on the caller thread, so the
-pipelined trainer matches the sequential trainer (and full-batch
-training) exactly.  See ``docs/pipeline.md``.
+Gradient accumulation is bit-for-bit that of the sequential trainer
+(and full-batch training).  See ``docs/pipeline.md``, which also
+records why the threaded variant of this loop was deleted.
 """
 
-from repro.pipeline.engine import (
-    PipelineConfig,
-    PipelineEngine,
-    PipelineReport,
-    STAGE_SECONDS_BUCKETS,
-)
-from repro.pipeline.model import (
-    StageTiming,
-    modeled_speedup,
-    pipeline_makespan,
-    sequential_time,
-)
-from repro.pipeline.reuse import FeatureReuseManager, ReusePlan
+from repro.pipeline.engine import PipelineEngine, PipelineReport
+from repro.pipeline.model import StageTiming
 
 __all__ = [
-    "PipelineConfig",
     "PipelineEngine",
     "PipelineReport",
-    "STAGE_SECONDS_BUCKETS",
     "StageTiming",
-    "pipeline_makespan",
-    "sequential_time",
-    "modeled_speedup",
-    "FeatureReuseManager",
-    "ReusePlan",
 ]

@@ -1,25 +1,12 @@
-"""Analytic pipeline-overlap model.
+"""Per-micro-batch stage timings and the fleet makespan over them.
 
-The staged engine (:mod:`repro.pipeline.engine`) measures, for every
+The engine (:mod:`repro.pipeline.engine`) measures, for every
 micro-batch, how long each stage took: block generation (CPU wall),
 feature staging (CPU wall), and compute (CPU wall for the numpy
 forward/backward plus the simulated device seconds the cost model
-charges for the transfer and kernels).  This module turns those
-per-item stage durations into the two numbers the paper-style
-comparison needs:
-
-* :func:`sequential_time` — the strictly serial schedule of
-  Algorithm 2 as written: every stage of every micro-batch on the
-  critical path;
-* :func:`pipeline_makespan` — the bounded producer/consumer schedule:
-  stage ``s`` of item ``i`` starts once item ``i-1`` left the stage,
-  item ``i`` left stage ``s-1``, *and* the depth-limited queue ahead
-  has a free slot (blocking-put semantics).
-
-Both are pure functions of the measured durations, so the modeled
-speedup is deterministic — independent of how many cores the host
-happens to have — while the threaded engine realizes it physically
-where the hardware allows.
+charges for the transfer and kernels).  :func:`fleet_makespan` lays
+those durations out over a device fleet's streams — the number the
+``split_scaling`` experiment reports.
 """
 
 from __future__ import annotations
@@ -44,68 +31,6 @@ class StageTiming:
     block_gen_s: float
     staging_s: float
     compute_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.block_gen_s + self.staging_s + self.compute_s
-
-    def stages(self) -> tuple[float, float, float]:
-        return (self.block_gen_s, self.staging_s, self.compute_s)
-
-
-def sequential_time(timings: list[StageTiming]) -> float:
-    """Serial epoch model: every stage of every item back to back."""
-    return sum(t.total_s for t in timings)
-
-
-def pipeline_makespan(timings: list[StageTiming], depth: int) -> float:
-    """Makespan of the 3-stage pipeline with ``depth``-bounded queues.
-
-    Recurrence (``s`` indexes stages, ``i`` items; ``c[s][i]`` is the
-    completion time of stage ``s`` for item ``i``)::
-
-        start[s][i] = max(c[s][i-1],          # stage busy with i-1
-                          c[s-1][i],          # item not yet produced
-                          start[s+1][i-depth])  # queue ahead is full
-        c[s][i]     = start[s][i] + d[s][i]
-
-    The third term models the blocking put of a ``Queue(maxsize=depth)``:
-    the producer cannot begin item ``i`` until the consumer has dequeued
-    item ``i - depth``.  With ``depth`` large this degenerates to the
-    classic unbounded-pipeline bound; with one item it degenerates to
-    (almost) the sequential schedule.
-    """
-    if depth < 1:
-        raise ReproError(f"pipeline depth must be >= 1, got {depth}")
-    if not timings:
-        return 0.0
-    n = len(timings)
-    durations = [t.stages() for t in timings]
-    n_stages = len(durations[0])
-    # start[s][i] / completion[s][i], filled item-major so every
-    # dependency (previous item, previous stage, queue slot) is ready.
-    start = [[0.0] * n for _ in range(n_stages)]
-    completion = [[0.0] * n for _ in range(n_stages)]
-    for i in range(n):
-        for s in range(n_stages):
-            ready = 0.0
-            if i > 0:
-                ready = completion[s][i - 1]
-            if s > 0:
-                ready = max(ready, completion[s - 1][i])
-            if s + 1 < n_stages and i - depth >= 0:
-                ready = max(ready, start[s + 1][i - depth])
-            start[s][i] = ready
-            completion[s][i] = ready + durations[i][s]
-    return completion[n_stages - 1][n - 1]
-
-
-def modeled_speedup(timings: list[StageTiming], depth: int) -> float:
-    """Sequential time over pipelined makespan (1.0 when empty)."""
-    makespan = pipeline_makespan(timings, depth)
-    if makespan <= 0.0:
-        return 1.0
-    return sequential_time(timings) / makespan
 
 
 def fleet_makespan(

@@ -1,4 +1,4 @@
-"""Out-of-core dataset store: mmap graph, sharded features, prefetch.
+"""Out-of-core dataset store: mmap graph, sharded features.
 
 Buffalo's bucketization removes the *GPU* memory wall; this package
 removes the *host* one.  A dataset converted with ``repro store build``
@@ -9,9 +9,7 @@ interfaces the in-memory path uses:
 * :class:`GraphStore` — memory-mapped CSR arrays behind the standard
   :class:`~repro.graph.csr.CSRGraph` surface;
 * :class:`FeatureStore` — ``gather(node_ids)`` over row shards, fronted
-  by a degree-ordered hot-node cache and fed by
-* :class:`SchedulePrefetcher` — warms group ``k+1``'s rows while group
-  ``k`` computes, driven by the scheduler's input-node sets.
+  by a degree-ordered hot-node cache.
 
 ``open_store_dataset`` assembles the pieces into a normal
 :class:`~repro.datasets.catalog.Dataset`; every trainer, baseline, and
@@ -43,7 +41,6 @@ from repro.store.layout import (
     verify_files,
     write_manifest,
 )
-from repro.store.prefetch import SchedulePrefetcher
 
 __all__ = [
     "DEFAULT_HOT_CACHE_BYTES",
@@ -54,7 +51,6 @@ __all__ = [
     "MANIFEST_NAME",
     "STORE_MAGIC",
     "STORE_VERSION",
-    "SchedulePrefetcher",
     "StoreManifest",
     "build_store",
     "describe_store",

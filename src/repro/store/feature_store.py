@@ -1,4 +1,4 @@
-"""Out-of-core feature matrix: row shards + hot-node cache + staging.
+"""Out-of-core feature matrix: row shards + hot-node cache.
 
 The feature matrix is the piece of a GNN dataset that actually breaks
 host RAM (features dominate graphs by an order of magnitude at typical
@@ -13,18 +13,14 @@ each holding ``shard_rows`` consecutive rows — and gathered on demand:
 * **shard reads** — cold rows are read from lazily opened, memory-mapped
   shards, grouped per shard so each gather touches every needed shard
   exactly once.
-* **staging** — a prefetcher (:mod:`repro.store.prefetch`) may gather a
-  future micro-batch's rows ahead of time with :meth:`prefetch`; a
-  later :meth:`gather` whose ids are covered by a staged entry is
-  served from it, bit-for-bit identical to a direct gather.
 
 The store quacks like the 2-D ndarray the trainer already indexes
 (``shape`` / ``dtype`` / ``__getitem__`` / ``astype``), so every
 consumer of ``dataset.features`` works unchanged on top of it.
 
-Host-memory accounting: ``resident_bytes`` sums the hot cache, staged
-buffers, and the in-flight gather output; ``peak_resident_bytes`` is
-its high-water mark and is exported as the
+Host-memory accounting: ``resident_bytes`` is the hot cache plus its
+slot table; ``peak_resident_bytes`` is the high-water mark of that plus
+the in-flight gather output and is exported as the
 ``buffalo.store.peak_resident_bytes`` gauge — the number the parity
 test holds under a budget smaller than the full matrix.
 """
@@ -33,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +63,9 @@ class FeatureStore:
             remaining headroom still run (correctness first) but the
             overage is visible in ``peak_resident_bytes``.
 
-    Thread safety: gathers may run from the pipeline engine's staging
-    worker concurrently with prefetches; all mutable state (staged
-    entries, statistics, residency) is guarded by one lock, while shard
+    Thread safety: training gathers from one thread, but nothing
+    stops a caller gathering from several; all mutable state (shard
+    maps, statistics, residency) is guarded by one lock, while shard
     reads themselves run unlocked (memmaps are read-only).
     """
 
@@ -96,18 +91,9 @@ class FeatureStore:
         )
         self._shards: dict[int, np.ndarray] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
-        # Staged entries, FIFO: (key, sorted_ids, rows) — `rows` aligned
-        # with `sorted_ids`.  Bounded by the prefetcher's depth.
-        self._staged: list[tuple[int, np.ndarray, np.ndarray]] = []  # guarded-by: _lock
-        self._staged_bytes = 0  # guarded-by: _lock
-        # Prefetcher back-pressure hook; installed/cleared through
-        # set_staged_consumed_hook() so writes never race the staged
-        # drain reading it under the lock.
-        self.on_staged_consumed = None  # guarded-by: _lock
         # Statistics.
         self.gathers = 0  # guarded-by: _lock
         self.hot_hits = 0  # guarded-by: _lock
-        self.staged_rows = 0  # guarded-by: _lock
         self.disk_rows = 0  # guarded-by: _lock
         self.bytes_read = 0  # guarded-by: _lock
         self._peak_resident = 0  # guarded-by: _lock
@@ -161,10 +147,8 @@ class FeatureStore:
     # ------------------------------------------------------------------
     @property
     def resident_bytes(self) -> int:
-        """Hot cache + slot table + staged buffers (steady state)."""
-        return (
-            self.hot_cache_bytes + self._hot_slot.nbytes + self._staged_bytes
-        )
+        """Hot cache + slot table (steady state)."""
+        return self.hot_cache_bytes + self._hot_slot.nbytes
 
     @property
     def peak_resident_bytes(self) -> int:
@@ -178,7 +162,7 @@ class FeatureStore:
             self._peak_resident = total
             get_metrics().gauge(
                 "buffalo.store.peak_resident_bytes",
-                help="peak host-resident feature bytes (cache+staged+gather)",
+                help="peak host-resident feature bytes (cache+gather)",
             ).set(total)
 
     # ------------------------------------------------------------------
@@ -219,62 +203,28 @@ class FeatureStore:
     # ------------------------------------------------------------------
     # Gather
     # ------------------------------------------------------------------
-    @staticmethod
-    def _key(ids: np.ndarray) -> int:
-        return zlib.crc32(ids.tobytes()) ^ (ids.size << 32)
-
-    def _serve_staged(self, ids: np.ndarray) -> np.ndarray | None:
-        """Serve ``ids`` from a staged entry covering them, if any."""
-        with self._lock:
-            for i, (key, sorted_ids, rows) in enumerate(self._staged):
-                pos = np.searchsorted(sorted_ids, ids)
-                pos_ok = pos < sorted_ids.size
-                if not np.all(pos_ok):
-                    continue
-                if not np.array_equal(sorted_ids[pos], ids):
-                    continue
-                out = rows[pos]
-                del self._staged[i]
-                self._staged_bytes -= rows.nbytes
-                self.staged_rows += ids.size
-                callback = self.on_staged_consumed
-                break
-            else:
-                return None
-        if callback is not None:
-            callback()
-        return out
-
     def gather(self, node_ids: np.ndarray) -> np.ndarray:
         """Features of ``node_ids`` as a fresh ``(n, dim)`` array.
 
-        Rows come from (in priority order) a covering staged entry, the
-        hot-node cache, and the mapped shards; the values are identical
-        whichever path serves them.
+        Rows come from the hot-node cache and the mapped shards; the
+        values are identical whichever serves them.
         """
         ids = np.asarray(node_ids, dtype=INDEX_DTYPE).ravel()
         start = time.perf_counter()
-        with get_tracer().span("store.gather", {"n_rows": int(ids.size)}) as span:
-            staged = self._serve_staged(ids)
-            if staged is not None:
-                out = staged
-                span.set_attr("source", "staged")
-            else:
-                out = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
-                slots = self._hot_slot[ids]
-                hot = slots >= 0
-                n_hot = int(np.count_nonzero(hot))
-                if n_hot:
-                    out[hot] = self._hot_rows[slots[hot]]
-                if n_hot < ids.size:
-                    cold_pos = np.flatnonzero(~hot)
-                    cold_ids = ids[cold_pos]
-                    order = np.argsort(cold_ids, kind="stable")
-                    out[cold_pos[order]] = self._read_rows(cold_ids[order])
-                with self._lock:
-                    self.hot_hits += n_hot
-                span.set_attr("source", "cache+disk")
+        with get_tracer().span("store.gather", {"n_rows": int(ids.size)}):
+            out = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
+            slots = self._hot_slot[ids]
+            hot = slots >= 0
+            n_hot = int(np.count_nonzero(hot))
+            if n_hot:
+                out[hot] = self._hot_rows[slots[hot]]
+            if n_hot < ids.size:
+                cold_pos = np.flatnonzero(~hot)
+                cold_ids = ids[cold_pos]
+                order = np.argsort(cold_ids, kind="stable")
+                out[cold_pos[order]] = self._read_rows(cold_ids[order])
         with self._lock:
+            self.hot_hits += n_hot
             self.gathers += 1
             self._note_resident(out.nbytes)
         metrics = get_metrics()
@@ -293,90 +243,22 @@ class FeatureStore:
     @property
     def hot_hit_rate(self) -> float:
         """Fraction of gathered rows served by the hot-node cache."""
-        total = self.hot_hits + self.disk_rows + self.staged_rows
+        total = self.hot_hits + self.disk_rows
         return self.hot_hits / total if total else 0.0
 
-    # ------------------------------------------------------------------
-    # Staging (schedule-aware prefetch)
-    # ------------------------------------------------------------------
-    def prefetch(self, node_ids: np.ndarray) -> int:
-        """Stage ``node_ids``' rows host-side for a later gather.
-
-        Returns the staged bytes — ``0`` when the host budget has no
-        headroom for the entry, in which case nothing is read and the
-        eventual gather serves those rows directly (prefetch is purely
-        advisory).  Staged rows are read through the same hot-cache /
-        shard path a gather uses, so a staged-then-gathered row is
-        bit-identical to a directly gathered one.
-        """
-        ids = np.unique(np.asarray(node_ids, dtype=INDEX_DTYPE).ravel())
-        if self.host_budget_bytes is not None:
-            # The staged entry lives alongside the gather output that
-            # will consume it, so require headroom for both copies.
-            entry_bytes = ids.size * self.row_bytes
-            if self.resident_bytes + 2 * entry_bytes > self.host_budget_bytes:
-                get_metrics().counter(
-                    "buffalo.store.prefetch_declined",
-                    help="prefetches skipped for lack of host headroom",
-                ).inc()
-                return 0
-        with get_tracer().span("store.prefetch", {"n_rows": int(ids.size)}):
-            rows = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
-            slots = self._hot_slot[ids]
-            hot = slots >= 0
-            if np.any(hot):
-                rows[hot] = self._hot_rows[slots[hot]]
-            if not np.all(hot):
-                rows[~hot] = self._read_rows(ids[~hot])
-            with self._lock:
-                self.hot_hits += int(np.count_nonzero(hot))
-                self._staged.append((self._key(ids), ids, rows))
-                self._staged_bytes += rows.nbytes
-                self._note_resident(0)
-        return int(rows.nbytes)
-
-    def drop_staged(self) -> None:
-        """Discard every staged entry (end of an iteration)."""
-        with self._lock:
-            self._staged.clear()
-            self._staged_bytes = 0
-
-    def set_staged_consumed_hook(self, callback) -> None:
-        """Install the consumption hook the staged drain fires.
-
-        ``_serve_staged`` reads the hook under the lock from whichever
-        thread drains a staged entry (the pipeline's staging worker, in
-        threaded mode), so installation must synchronize with it —
-        assigning the attribute directly from the prefetcher races the
-        drain.
-        """
-        with self._lock:
-            self.on_staged_consumed = callback
-
-    def clear_staged_consumed_hook(self, callback) -> None:
-        """Remove ``callback`` if it is the installed hook.
-
-        Compare-and-clear under the lock: a prefetcher tearing down must
-        not remove a hook a newer prefetcher installed in the meantime.
-        """
-        with self._lock:
-            if self.on_staged_consumed == callback:
-                self.on_staged_consumed = None
+    @property
+    def staged_rows(self) -> int:
+        # Always 0: kept only for benchmarks/e2e/workloads.py::store_counters.
+        return 0
 
     def reset_stats(self) -> None:
         """Zero the gather counters (benchmark warm-up boundary)."""
         with self._lock:
             self.gathers = 0
             self.hot_hits = 0
-            self.staged_rows = 0
             self.disk_rows = 0
             self.bytes_read = 0
             self._peak_resident = 0
-
-    @property
-    def staged_entries(self) -> int:
-        with self._lock:
-            return len(self._staged)
 
     # ------------------------------------------------------------------
     # Read-only snapshots (serving path)
@@ -384,14 +266,14 @@ class FeatureStore:
     def read_snapshot(self) -> "FeatureStoreSnapshot":
         """A read-only view safe to gather from concurrently.
 
-        The serving tier gathers features while a training prefetcher
-        may be staging rows into this store from another thread.  A
-        snapshot never touches the store's mutable state — it captures
-        the hot cache arrays at creation time, opens its own shard
-        maps, and keeps its own statistics under its own lock — so
-        serve-path gathers neither consume training's staged entries
-        nor contend on (or race against) the store's lock.  Values are
-        bit-for-bit identical to :meth:`gather`.
+        The serving tier gathers features while training may be
+        gathering from this store on another thread.  A snapshot never
+        touches the store's mutable state — it captures the hot cache
+        arrays at creation time, opens its own shard maps, and keeps
+        its own statistics under its own lock — so serve-path gathers
+        neither show up in training's counters nor contend on (or race
+        against) the store's lock.  Values are bit-for-bit identical to
+        :meth:`gather`.
 
         The snapshot reads the same immutable on-disk shards the store
         does; it remains valid after :meth:`close` (its captured hot
@@ -438,8 +320,7 @@ class FeatureStore:
         return self.gather(np.arange(self.shape[0], dtype=INDEX_DTYPE))
 
     def close(self) -> None:
-        """Drop shard maps, staged buffers, and the hot cache."""
-        self.drop_staged()
+        """Drop shard maps and the hot cache."""
         with self._lock:
             self._shards.clear()
             self._hot_rows = np.empty((0, self.shape[1]), dtype=self.dtype)
@@ -461,7 +342,7 @@ class FeatureStoreSnapshot:
     are opened privately, and statistics live behind this object's own
     lock.  Concurrent gathers from serving threads therefore cannot
     trip a :class:`~repro.analysis.race.RaceSentinel` attached to the
-    training store, and never steal its staged prefetch entries.
+    training store.
     """
 
     def __init__(

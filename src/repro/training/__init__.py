@@ -7,7 +7,7 @@ this package provides the user-facing loop: seed-batched epochs
 (:mod:`loop`).
 """
 
-from repro.training.dataloader import BackgroundPrefetcher, SeedBatchLoader
+from repro.training.dataloader import SeedBatchLoader
 from repro.training.evaluate import accuracy, evaluate
 from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.inference import full_graph_accuracy, full_graph_inference
@@ -15,7 +15,6 @@ from repro.training.loop import EpochResult, TrainingLoop
 
 __all__ = [
     "SeedBatchLoader",
-    "BackgroundPrefetcher",
     "accuracy",
     "evaluate",
     "full_graph_inference",

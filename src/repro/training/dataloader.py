@@ -8,9 +8,7 @@ independently (the Buffalo pipeline runs per batch).
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -73,73 +71,3 @@ class SeedBatchLoader:
     @property
     def epochs_served(self) -> int:
         return self._epoch
-
-
-_DONE = object()
-
-
-class BackgroundPrefetcher:
-    """Drains an iterable on a daemon thread behind a bounded queue.
-
-    Companion to the staged execution engine: while the trainer works
-    through one seed batch's micro-batches, the next epoch batch is
-    already being shuffled/sliced here.  The wrapper is re-iterable —
-    every ``iter()`` starts a fresh worker over a fresh pass of the
-    underlying iterable (so a :class:`SeedBatchLoader`'s per-epoch
-    reshuffle still happens) — and preserves order exactly.
-
-    Args:
-        iterable: any re-iterable source of items.
-        depth: queue bound — how many items may sit prefetched.
-    """
-
-    def __init__(self, iterable: Iterable, depth: int = 2) -> None:
-        if depth < 1:
-            raise ReproError(f"prefetch depth must be >= 1, got {depth}")
-        self.iterable = iterable
-        self.depth = int(depth)
-
-    def __len__(self) -> int:
-        return len(self.iterable)  # type: ignore[arg-type]
-
-    def __iter__(self) -> Iterator:
-        q: queue.Queue = queue.Queue(maxsize=self.depth)
-        stop = threading.Event()
-
-        def _put(item) -> bool:
-            while not stop.is_set():
-                try:
-                    q.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _worker() -> None:
-            try:
-                for item in self.iterable:
-                    if not _put(item):
-                        return
-                _put(_DONE)
-            except BaseException as exc:  # re-raised on the consumer
-                _put(("error", exc))
-
-        worker = threading.Thread(
-            target=_worker, name="buffalo-seed-prefetch", daemon=True
-        )
-        worker.start()
-        try:
-            while True:
-                item = q.get()
-                if item is _DONE:
-                    break
-                if (
-                    isinstance(item, tuple)
-                    and len(item) == 2
-                    and item[0] == "error"
-                ):
-                    raise item[1]
-                yield item
-        finally:
-            stop.set()
-            worker.join(timeout=5.0)

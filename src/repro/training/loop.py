@@ -14,7 +14,7 @@ from repro.errors import ReproError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.training.checkpoint import save_checkpoint
-from repro.training.dataloader import BackgroundPrefetcher, SeedBatchLoader
+from repro.training.dataloader import SeedBatchLoader
 from repro.training.evaluate import evaluate
 
 
@@ -82,13 +82,6 @@ class TrainingLoop:
         loader = SeedBatchLoader(
             self.dataset.train_nodes, self.batch_size, seed=self.seed
         )
-        # When the trainer pipelines its micro-batches, prefetch seed
-        # batches behind the same depth too — shuffling/slicing the next
-        # batch overlaps with the current batch's training.
-        config = self.trainer.pipeline_config
-        seed_source = loader
-        if config.threaded and config.depth > 1:
-            seed_source = BackgroundPrefetcher(loader, depth=config.depth)
         tracer = get_tracer()
         registry = get_metrics()
         best_acc = -1.0
@@ -98,7 +91,7 @@ class TrainingLoop:
             with tracer.span("train.epoch", {"epoch": epoch}) as span:
                 losses = []
                 micro_total = 0
-                for seeds in seed_source:
+                for seeds in loader:
                     report = self.trainer.run_iteration(seeds)
                     losses.append(report.result.loss)
                     micro_total += report.n_micro_batches

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from repro.core import (
     BucketMemEstimator,
     BuffaloScheduler,
+    generate_blocks_fast,
     generate_micro_batches,
     mem_balanced_grouping,
     split_explosion_bucket,
 )
 from repro.core.microbatch import micro_batch_coverage
+from repro.core.scheduler import group_input_nodes
 from repro.errors import SchedulingError
 from repro.gnn import Bucket, bucketize_degrees
 from repro.gnn.footprint import ModelSpec
@@ -179,6 +181,42 @@ class TestMicroBatches:
         plan = self._plan(batch, blocks, spec, 1e15)
         for mb in generate_micro_batches(batch, plan):
             assert mb.n_input <= batch.n_nodes
+
+
+class TestInputNodeSets:
+    """``SchedulePlan.input_node_sets``: what split placement weighs."""
+
+    @pytest.fixture()
+    def plan(self, batch, blocks, spec):
+        scheduler = BuffaloScheduler(
+            spec, 1e15, cutoff=CUTOFF, clustering_coefficient=0.3
+        )
+        total = sum(scheduler.schedule(batch, blocks).estimated_bytes)
+        scheduler.memory_constraint = total / 3
+        plan = scheduler.schedule(batch, blocks)
+        assert plan.k >= 2
+        return plan
+
+    def test_match_micro_batch_input_layers(self, batch, blocks, plan):
+        # The plan-level reachability walk must predict exactly the
+        # input layer each generated micro-batch will carry.
+        input_sets = plan.input_node_sets(blocks)
+        micro_batches = generate_micro_batches(batch, plan)
+        assert len(input_sets) == len(micro_batches)
+        for nodes, mb in zip(input_sets, micro_batches):
+            np.testing.assert_array_equal(
+                np.sort(nodes), np.sort(mb.blocks[0].src_nodes)
+            )
+
+    def test_cached_across_calls(self, blocks, plan):
+        assert plan.input_node_sets(blocks) is plan.input_node_sets(blocks)
+
+    def test_group_input_nodes_single_row(self, batch, blocks):
+        nodes = group_input_nodes(blocks, np.array([0]))
+        direct = generate_blocks_fast(batch, np.array([0]))
+        np.testing.assert_array_equal(
+            np.sort(nodes), np.sort(direct[0].src_nodes)
+        )
 
 
 @settings(max_examples=20, deadline=None)

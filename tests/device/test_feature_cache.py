@@ -100,68 +100,14 @@ class TestFeatureCache:
         assert cache.hit_rate > 0.2
 
 
-class TestPinning:
-    def test_pin_budget_is_half_capacity(self):
-        _, cache = make_cache(capacity_rows=10)
-        assert cache.max_pinned_rows == 5
-        _, tiny = make_cache(capacity_rows=1)
-        assert tiny.max_pinned_rows == 1
-
-    def test_pinned_rows_survive_lru_pressure(self):
-        _, cache = make_cache(capacity_rows=4)
-        cache.pin(np.array([0, 1]))
-        cache.load(np.array([0, 1, 2, 3]))
-        cache.load(np.array([10, 11, 12]))  # would evict 0 and 1 if LRU
-        assert cache.resident_rows == 4
-        cache.load(np.array([0, 1]))
-        assert cache.misses == 7  # 0 and 1 were still resident
-        assert cache.pinned_resident_rows == 2
-
-    def test_pin_beyond_budget_is_ignored(self):
-        _, cache = make_cache(capacity_rows=4)  # budget = 2
-        pinned = cache.pin(np.arange(5))
-        assert pinned == 2
-        assert cache.pinned_rows == 2
-        # Eviction still has victims, so residency stays bounded.
-        cache.load(np.arange(100, 110))
-        assert cache.resident_rows <= 4
-
-    def test_unpin_makes_rows_evictable(self):
-        _, cache = make_cache(capacity_rows=4)
-        cache.pin(np.array([0, 1]))
-        cache.load(np.array([0, 1, 2, 3]))
-        cache.unpin(np.array([0, 1]))
-        cache.load(np.array([20, 21, 22, 23]))
-        cache.load(np.array([0, 1]))
-        assert cache.misses > 6  # 0/1 were evicted after unpinning
-
-    def test_clear_pins_and_clear(self):
-        _, cache = make_cache(capacity_rows=4)
-        cache.pin(np.array([7]))
-        cache.load(np.array([7, 8]))
-        cache.clear_pins()
-        assert cache.pinned_rows == 0
-        assert cache.resident_rows == 2
-        cache.pin(np.array([7]))
-        cache.clear()
-        assert cache.pinned_rows == 0
-        assert cache.resident_rows == 0
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_unpinned_nodes_are_noop(self):
-        _, cache = make_cache(capacity_rows=4)
-        cache.unpin(np.array([99]))  # never pinned
-        assert cache.pinned_rows == 0
-
-
 class TestStoreBackedCache:
     """Device cache fronting an out-of-core FeatureStore.
 
-    The two caches are independent tiers: the device cache pins rows a
-    later bucket group reuses, the store's hot-node cache holds the
-    popularity head on the host.  A row can be pinned on the device yet
-    absent from (or dropped by) the store's hot cache — the store must
-    still serve its bytes from shards, bit-for-bit.
+    The two caches are independent tiers: the device cache keeps the
+    recently used rows, the store's hot-node cache holds the popularity
+    head on the host.  A row can be resident on the device yet dropped
+    by the store's hot cache — the store must still serve its bytes
+    from shards, bit-for-bit.
     """
 
     @pytest.fixture()
@@ -176,39 +122,19 @@ class TestStoreBackedCache:
         store = FeatureStore(root, hot_cache_bytes=8 * dataset.feat_dim * 4)
         return store, np.asarray(dataset.features)
 
-    def test_pinned_row_outside_hot_cache_served_from_shards(
-        self, store_and_ref
-    ):
-        store, ref = store_and_ref
-        # A row the hot cache does NOT hold.
-        cold = int(np.flatnonzero(store._hot_slot < 0)[0])
-        device, cache = make_cache(
-            capacity_rows=4, feat_bytes=store.row_bytes
-        )
-        assert cache.pin(np.array([cold])) == 1
-        cache.load(np.array([cold]))  # transfer charged once
-        before = store.disk_rows
-        row = store.gather(np.array([cold]))
-        np.testing.assert_array_equal(row[0], ref[cold])
-        assert store.disk_rows == before + 1  # shards, not hot cache
-        # Device-side the row stays resident under LRU pressure.
-        cache.load(np.arange(1000, 1010))
-        assert cold in cache._resident
-
     def test_row_dropped_from_hot_cache_still_correct(self, store_and_ref):
         store, ref = store_and_ref
         hot = int(np.flatnonzero(store._hot_slot >= 0)[0])
         device, cache = make_cache(
             capacity_rows=4, feat_bytes=store.row_bytes
         )
-        cache.pin(np.array([hot]))
         cache.load(np.array([hot]))
         # The host hot cache is torn down (e.g. budget shrink); the
-        # pinned device row's source of truth falls back to shards.
+        # device row's source of truth falls back to shards.
         store.close()
         row = store.gather(np.array([hot]))
         np.testing.assert_array_equal(row[0], ref[hot])
-        assert hot in cache._resident  # pin survived independently
+        assert hot in cache._resident  # device tier unaffected
 
     def test_tiers_count_independently(self, store_and_ref):
         store, ref = store_and_ref

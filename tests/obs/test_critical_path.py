@@ -137,8 +137,8 @@ class TestRender:
 
 
 @pytest.mark.smoke
-class TestLiveThreadedRun:
-    def test_threaded_pipeline_attributes_95_percent(self, tracer, sink):
+class TestLiveRun:
+    def test_inline_engine_attributes_95_percent(self, tracer, sink):
         """ISSUE 6 acceptance: >=95% of epoch wall on named spans."""
         from repro.core.api import BuffaloTrainer
         from repro.datasets import load
@@ -153,16 +153,19 @@ class TestLiveThreadedRun:
             SimulatedGPU(capacity_bytes=150_000),
             fanouts=[4, 4],
             seed=0,
-            pipeline_depth=2,
-            pipeline_mode="threaded",
         )
         with tracer.span("train.epoch"):
-            trainer.run_iteration(dataset.train_nodes[:60])
-        report = build_critical_path(sink.events)
-        assert report.main_thread == threading.current_thread().name
-        assert report.coverage >= 0.95
-        # The engine's worker threads show up as overlapped slack.
-        assert any(
-            t.startswith("buffalo-") for t in report.overlapped_busy_s
-        )
-        assert "pipeline.compute" in report.critical_self_s
+            report = trainer.run_iteration(dataset.train_nodes[:60])
+        assert report.n_micro_batches > 1
+        path = build_critical_path(sink.events)
+        assert path.main_thread == threading.current_thread().name
+        assert path.coverage >= 0.95
+        # Every stage of the in-line engine is on the critical path:
+        # training hides nothing on another thread.
+        assert path.overlapped_busy_s == {}
+        for stage in (
+            "pipeline.block_gen",
+            "pipeline.stage_features",
+            "pipeline.compute",
+        ):
+            assert stage in path.critical_self_s

@@ -1,4 +1,4 @@
-"""Memory timeline recorder: four-tier sampling on live training runs."""
+"""Memory timeline recorder: three-tier sampling on live training runs."""
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ class TestRecorder:
         recorder = MemoryTimelineRecorder(
             device=_Tier(live_bytes=10, peak_bytes=20),
             store=_Tier(resident_bytes=30),
-            cache=_Tier(resident_bytes=40),
             workspace=_Tier(nbytes=50),
         )
         recorder.begin_iteration(3)
@@ -33,7 +32,6 @@ class TestRecorder:
         assert sample.device_live_bytes == 10
         assert sample.device_peak_bytes == 20
         assert sample.store_resident_bytes == 30
-        assert sample.cache_resident_bytes == 40
         assert sample.workspace_bytes == 50
 
     def test_missing_tiers_read_zero(self):
@@ -84,6 +82,22 @@ class TestRoundTrip:
             fh.write('{"v": 1, "ind')
         assert len(load_timeline(str(path))) == 1
 
+    def test_file_written_with_the_cache_tier_still_loads(self, tmp_path):
+        # A line exactly as the four-tier recorder (before the feature
+        # reuse cache was deleted) wrote it.
+        path = tmp_path / "tl.jsonl"
+        path.write_text(
+            '{"v":1,"index":0,"iteration":2,"label":"micro_batch",'
+            '"t_s":0.25,"device_live_bytes":10.0,"device_peak_bytes":20.0,'
+            '"store_resident_bytes":30.0,"cache_resident_bytes":40.0,'
+            '"workspace_bytes":50.0}\n'
+        )
+        (sample,) = load_timeline(str(path))
+        assert (sample.iteration, sample.label) == (2, "micro_batch")
+        assert sample.store_resident_bytes == 30.0
+        assert sample.workspace_bytes == 50.0
+        assert "cache" not in render_timeline([sample])
+
     def test_malformed_sample_raises(self, tmp_path):
         path = tmp_path / "tl.jsonl"
         path.write_text('{"v": 1, "nope": true}\n{"also": "bad"}\n')
@@ -117,7 +131,7 @@ class TestRender:
 
 @pytest.mark.smoke
 class TestLiveRun:
-    def test_k_gt_1_store_run_shows_all_four_tiers(self, tmp_path, cora_tl):
+    def test_k_gt_1_store_run_shows_all_three_tiers(self, tmp_path, cora_tl):
         """A K>1 out-of-core run populates every tier of the timeline."""
         trainer, dataset = cora_tl
         recorder = trainer.attach_timeline()
@@ -131,7 +145,6 @@ class TestLiveRun:
         peaks = recorder.tier_peaks()
         assert peaks["device"] > 0
         assert peaks["store"] > 0
-        assert peaks["cache"] > 0
         assert peaks["workspace"] > 0
         # Iterations are stamped per sample.
         assert {s.iteration for s in recorder.samples} == {0}
@@ -151,7 +164,7 @@ class TestLiveRun:
 
 @pytest.fixture()
 def cora_tl(tmp_path):
-    """A store-backed K>1 trainer with reuse cache and fused kernels."""
+    """A store-backed K>1 trainer with fused kernels."""
     from repro.core.api import BuffaloTrainer
     from repro.datasets import load, open_dataset
     from repro.device import SimulatedGPU
@@ -172,7 +185,6 @@ def cora_tl(tmp_path):
         device,
         fanouts=[8, 8],
         seed=0,
-        reuse_features=True,
         kernel_backend="fused",
     )
     return trainer, dataset

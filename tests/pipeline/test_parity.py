@@ -1,21 +1,30 @@
-"""Algorithm 2 parity: pipelined == sequential == full-batch.
+"""Algorithm 2 parity: engine == ``train_iteration`` == full batch.
 
-The paper's correctness claim (§IV-B) extended to the staged engine:
-whatever the prefetch depth or execution mode, a Buffalo iteration must
-produce exactly the updates the strictly sequential trainer produces —
-and both must match one full-batch step up to accumulation-order
-round-off.
+The paper's correctness claim (§IV-B) for the one iteration loop: a
+:class:`BuffaloTrainer` iteration (plan, then the in-line engine) must
+produce exactly the updates of the bare sequential recipe — sample,
+schedule, ``generate_micro_batches``, ``train_iteration`` — and both
+must match one full-batch step up to accumulation-order round-off.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import BuffaloScheduler, BuffaloTrainer, generate_blocks_fast
+from repro.core import (
+    BuffaloScheduler,
+    BuffaloTrainer,
+    generate_blocks_fast,
+    generate_micro_batches,
+)
+from repro.core.api import build_model
+from repro.core.trainer import MicroBatchTrainer
 from repro.device import SimulatedGPU
 from repro.gnn.footprint import ModelSpec
 from repro.graph import sample_batch
+from repro.nn.optim import Adam
 
 N_ITERATIONS = 2
+FANOUTS = [6, 6]
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +47,7 @@ def seeds(dataset):
 @pytest.fixture(scope="module")
 def constraint(dataset, spec, seeds):
     """A budget forcing K >= 2 on the test batch."""
-    batch = sample_batch(dataset.graph, seeds, [6, 6], rng=0)
+    batch = sample_batch(dataset.graph, seeds, FANOUTS, rng=0)
     blocks = generate_blocks_fast(batch)
     probe = BuffaloScheduler(
         spec, float("inf"), cutoff=6, clustering_coefficient=0.2
@@ -46,16 +55,15 @@ def constraint(dataset, spec, seeds):
     return sum(probe.schedule(batch, blocks).estimated_bytes) / 4
 
 
-def _make(dataset, spec, constraint, **kwargs):
+def _make(dataset, spec, constraint):
     return BuffaloTrainer(
         dataset,
         spec,
         SimulatedGPU(capacity_bytes=1 << 40),
-        fanouts=[6, 6],
+        fanouts=FANOUTS,
         seed=0,
         memory_constraint=constraint,
         clustering_coefficient=0.2,
-        **kwargs,
     )
 
 
@@ -67,71 +75,63 @@ def _losses(trainer, seeds):
 
 
 @pytest.fixture(scope="module")
-def sequential(dataset, spec, constraint, seeds):
+def reference(dataset, spec, constraint, seeds):
+    """The bare recipe, no engine: ``(losses, final weights)``."""
+    model = build_model(spec, rng=0)
+    trainer = MicroBatchTrainer(
+        model,
+        spec,
+        Adam(model.parameters(), lr=1e-3),
+        SimulatedGPU(capacity_bytes=1 << 40),
+    )
+    scheduler = BuffaloScheduler(
+        spec, constraint, cutoff=FANOUTS[0], clustering_coefficient=0.2
+    )
+    losses = []
+    for iteration in range(N_ITERATIONS):
+        batch = sample_batch(dataset.graph, seeds, FANOUTS, rng=iteration)
+        plan = scheduler.schedule(batch, generate_blocks_fast(batch))
+        assert plan.k >= 2
+        result = trainer.train_iteration(
+            dataset,
+            batch.node_map,
+            generate_micro_batches(batch, plan),
+            list(reversed(FANOUTS)),
+        )
+        losses.append(result.loss)
+    return losses, model.state_dict()
+
+
+@pytest.fixture(scope="module")
+def engine_run(dataset, spec, constraint, seeds):
+    """The same iterations through ``BuffaloTrainer``."""
     trainer = _make(dataset, spec, constraint)
-    losses = _losses(trainer, seeds)
-    report = trainer.run_iteration(seeds)
-    assert report.plan.k >= 2
-    return losses, trainer
-
-
-PIPELINE_VARIANTS = [
-    dict(pipeline_depth=3, pipeline_mode="sync"),
-    dict(pipeline_depth=2),
-    dict(pipeline_depth=4, pipeline_mode="threaded"),
-    dict(pipeline_depth=2, reuse_features=True),
-]
+    return _losses(trainer, seeds), trainer.model.state_dict()
 
 
 class TestParity:
-    @pytest.mark.parametrize(
-        "kwargs", PIPELINE_VARIANTS, ids=lambda kw: "-".join(
-            f"{k.replace('pipeline_', '')}={v}" for k, v in kw.items()
-        )
-    )
-    def test_exact_loss_parity(
-        self, dataset, spec, constraint, seeds, sequential, kwargs
-    ):
-        seq_losses, _ = sequential
-        trainer = _make(dataset, spec, constraint, **kwargs)
-        losses = _losses(trainer, seeds)
-        assert losses == seq_losses  # exact float equality
+    def test_exact_loss_parity(self, reference, engine_run):
+        assert engine_run[0] == reference[0]  # exact float equality
 
-    def test_exact_weight_parity(
-        self, dataset, spec, constraint, seeds
-    ):
-        a = _make(dataset, spec, constraint)
-        b = _make(dataset, spec, constraint, pipeline_depth=3)
-        for _ in range(N_ITERATIONS):
-            a.run_iteration(seeds)
-            b.run_iteration(seeds)
-        state_a = a.model.state_dict()
-        state_b = b.model.state_dict()
-        for key in state_a:
-            np.testing.assert_array_equal(state_a[key], state_b[key])
+    def test_exact_weight_parity(self, reference, engine_run):
+        for key, value in reference[1].items():
+            np.testing.assert_array_equal(engine_run[1][key], value)
 
     def test_matches_full_batch_step(
-        self, dataset, spec, constraint, seeds, sequential
+        self, dataset, spec, seeds, engine_run
     ):
         # One unconstrained trainer runs the whole batch as a single
         # micro-batch; accumulation order differs, so tolerance applies.
-        seq_losses, _ = sequential
         full = _make(dataset, spec, None)
         full_losses = _losses(full, seeds)
         assert full.run_iteration(seeds).plan.k == 1
         np.testing.assert_allclose(
-            full_losses, seq_losses, rtol=1e-4, atol=1e-6
+            full_losses, engine_run[0], rtol=1e-4, atol=1e-6
         )
 
     def test_pipeline_report_attached(
         self, dataset, spec, constraint, seeds
     ):
-        trainer = _make(dataset, spec, constraint, pipeline_depth=2)
-        report = trainer.run_iteration(seeds)
-        assert report.pipeline is not None
-        assert report.pipeline.depth == 2
+        report = _make(dataset, spec, constraint).run_iteration(seeds)
+        assert report.plan.k >= 2
         assert len(report.pipeline.timings) == report.plan.k
-
-        # Depth 1 is the same engine in its sequential (sync) mode.
-        plain = _make(dataset, spec, constraint).run_iteration(seeds)
-        assert (plain.pipeline.depth, plain.pipeline.mode) == (1, "sync")

@@ -1,12 +1,13 @@
 """FeatureStoreSnapshot: bitwise reads beside a live training store."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.analysis.race import RaceSentinel
-from repro.store import FeatureStore, SchedulePrefetcher
+from repro.store import FeatureStore
 
 
 @pytest.fixture()
@@ -57,44 +58,62 @@ class TestBitwiseParity:
         )
 
 
-class TestConcurrentWithPrefetcher:
+class TestConcurrentWithTrainingGather:
     def test_serve_gathers_never_trip_the_training_store(
         self, cora_store, cora
     ):
-        """Snapshot reads run beside a threaded prefetcher: the store's
-        RaceSentinel must stay silent and the staged entries must be
-        consumed only by training-path gathers."""
+        """Snapshot reads run beside a second thread gathering from the
+        store itself: the store's RaceSentinel must stay silent and the
+        snapshot's traffic must stay off the store's books."""
         fs = FeatureStore(cora_store, hot_cache_bytes=0)
         sets = [np.sort(np.arange(i, i + 24)) for i in range(0, 96, 24)]
         snapshot = fs.read_snapshot()
         ids = np.array([5, 50, 77, 110])
         errors = []
 
-        def serve_loop():
-            try:
-                for _ in range(50):
-                    np.testing.assert_array_equal(
-                        snapshot.gather(ids), cora.features[ids]
-                    )
-            except Exception as exc:  # surfaced to the main thread
-                errors.append(exc)
+        def guarded(loop):
+            def run():
+                try:
+                    loop()
+                except Exception as exc:  # surfaced to the main thread
+                    errors.append(exc)
 
-        with RaceSentinel(fs) as sentinel:
-            prefetcher = SchedulePrefetcher(fs, depth=2, threaded=True)
-            server = threading.Thread(target=serve_loop)
-            prefetcher.begin_iteration(sets)
-            server.start()
-            for group in sets:
+            return threading.Thread(target=run)
+
+        def serve_loop():
+            for _ in range(50):
                 np.testing.assert_array_equal(
-                    fs.gather(group), cora.features[group]
+                    snapshot.gather(ids), cora.features[ids]
                 )
-            server.join(timeout=10.0)
-            prefetcher.end_iteration()
-        assert not server.is_alive()
+
+        def gather_loop():
+            for _ in range(10):
+                for group in sets:
+                    np.testing.assert_array_equal(
+                        fs.gather(group), cora.features[group]
+                    )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleaving inside gather
+        try:
+            with RaceSentinel(fs) as sentinel:
+                threads = [guarded(serve_loop), guarded(gather_loop)]
+                for thread in threads:
+                    thread.start()
+                for group in sets:
+                    np.testing.assert_array_equal(
+                        fs.gather(group), cora.features[group]
+                    )
+                for thread in threads:
+                    thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert sentinel.violations == []
-        # Serving consumed nothing staged for training: the snapshot's
-        # row count stayed off the store's books entirely.
-        assert fs.staged_entries == 0
+        # Both store-side gatherers are on the store's counters; the
+        # snapshot's rows are on its own.
+        assert fs.gathers == 11 * len(sets)
+        assert fs.disk_rows == 11 * sum(s.size for s in sets)
         assert snapshot.rows_served == 50 * ids.size
         fs.close()

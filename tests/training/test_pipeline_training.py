@@ -1,17 +1,17 @@
-"""Training-loop additions: prefetcher semantics and wall_s accounting."""
+"""Training-loop additions: one thread, and wall_s accounting."""
 
+import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.core import BuffaloTrainer
 from repro.datasets import load
-from repro.device import SimulatedGPU
-from repro.errors import ReproError
+from repro.device import DeviceFleet, SimulatedGPU
 from repro.gnn.footprint import ModelSpec
 from repro.obs.trace import CallbackSink, get_tracer
-from repro.training import BackgroundPrefetcher, SeedBatchLoader, TrainingLoop
+from repro.store import build_store, open_store_dataset
+from repro.training import TrainingLoop
 
 
 @pytest.fixture(scope="module")
@@ -24,54 +24,62 @@ def spec(dataset):
     return ModelSpec(dataset.feat_dim, 16, dataset.n_classes, 2, "mean")
 
 
-class TestBackgroundPrefetcher:
-    def test_preserves_order(self):
-        items = [np.array([i]) for i in range(20)]
-        out = list(BackgroundPrefetcher(items, depth=3))
-        assert [int(x[0]) for x in out] == list(range(20))
+class TestTrainingRunsOnOneThread:
+    """No ``repro`` training code starts a thread."""
 
-    def test_reiterable_matches_plain_loader(self):
-        # Two epochs through the prefetcher == two epochs through a
-        # same-seeded plain loader (the reshuffle still happens).
-        plain = SeedBatchLoader(np.arange(50), 12, seed=3)
-        wrapped = BackgroundPrefetcher(
-            SeedBatchLoader(np.arange(50), 12, seed=3), depth=2
+    @pytest.fixture()
+    def watched(self, monkeypatch):
+        """Thread names started while the test runs."""
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        return started
+
+    @pytest.fixture()
+    def store_dataset(self, tmp_path, dataset):
+        build_store(dataset, tmp_path / "ds.store", shard_rows=64)
+        host_budget = dataset.features.nbytes // 2
+        return open_store_dataset(
+            tmp_path / "ds.store",
+            hot_cache_bytes=host_budget // 8,
+            host_budget_bytes=host_budget,
         )
-        for _ in range(2):
-            for a, b in zip(list(plain), list(wrapped)):
-                np.testing.assert_array_equal(a, b)
 
-    def test_len_delegates(self):
-        loader = SeedBatchLoader(np.arange(25), 10)
-        assert len(BackgroundPrefetcher(loader)) == len(loader)
-
-    def test_error_propagates(self):
-        def _bad():
-            yield np.array([1])
-            raise ValueError("loader exploded")
-
-        class Bad:
-            def __iter__(self):
-                return _bad()
-
-        with pytest.raises(ValueError, match="loader exploded"):
-            list(BackgroundPrefetcher(Bad(), depth=2))
-
-    def test_invalid_depth(self):
-        with pytest.raises(ReproError):
-            BackgroundPrefetcher([], depth=0)
-
-    def test_early_abandonment_stops_worker(self):
-        import threading
-
+    @pytest.mark.parametrize("parallel", ["data", "split"])
+    def test_store_backed_fleet_iteration_and_epoch(
+        self, watched, store_dataset, spec, parallel
+    ):
         before = threading.active_count()
-        it = iter(BackgroundPrefetcher([np.array([i]) for i in range(100)]))
-        next(it)
-        it.close()  # generator finalizer must stop the worker
-        deadline = time.time() + 2.0
-        while threading.active_count() > before and time.time() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() <= before
+        trainer = BuffaloTrainer(
+            store_dataset,
+            spec,
+            DeviceFleet(2, capacity_bytes=1 << 40),
+            fanouts=[5, 5],
+            seed=0,
+            clustering_coefficient=0.2,
+            memory_constraint=150_000,
+            parallel=parallel,
+            kernel_backend="fused",
+        )
+        report = trainer.run_iteration(store_dataset.train_nodes[:60])
+        assert report.n_micro_batches > 1
+        assert set(report.assignments) == {0, 1}
+        loop = TrainingLoop(
+            trainer=trainer, dataset=store_dataset, batch_size=60, seed=0
+        )
+        loop.run(1)
+        assert watched == []
+        assert threading.active_count() == before
+        assert not [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith("buffalo-")
+        ]
 
 
 class TestEpochWallClock:
@@ -111,21 +119,3 @@ class TestEpochWallClock:
         # end-to-end time around run().
         assert outer >= result.wall_s + sink_delay * 0.9
         assert result.wall_s > 0
-
-    def test_pipelined_loop_matches_sequential_losses(self, dataset, spec):
-        def run(**kwargs):
-            trainer = BuffaloTrainer(
-                dataset,
-                spec,
-                SimulatedGPU(capacity_bytes=1 << 40),
-                fanouts=[5, 5],
-                seed=0,
-                clustering_coefficient=0.2,
-                **kwargs,
-            )
-            loop = TrainingLoop(
-                trainer=trainer, dataset=dataset, batch_size=60, seed=0
-            )
-            return [r.mean_loss for r in loop.run(2)]
-
-        assert run() == run(pipeline_depth=2)
