@@ -22,7 +22,6 @@ accumulation bit-for-bit identical.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,7 +269,14 @@ class MicroBatchTrainer:
 
         Returns ``(loss_contribution, peak_bytes)`` where ``peak_bytes``
         is ``None`` without a device.  The autograd graph is released
-        before returning — the point of output-layer partitioning.
+        before returning — the point of output-layer partitioning — by
+        reference counting alone: the tape holds no reference cycle
+        (``tests/device/test_ledger_neutrality.py`` pins that), so
+        dropping the three local roots frees every activation and the
+        device ledger is back at parameter bytes without a collector
+        pass.  The one place that still collects is the OOM re-plan path
+        of :meth:`repro.core.api.BuffaloTrainer.run_iteration`, where a
+        traceback pins the failed graph.
         """
         tracer = get_tracer()
         if self.device is not None:
@@ -324,9 +330,9 @@ class MicroBatchTrainer:
             if self.timeline is not None:
                 self.timeline.sample("micro_batch")
         # Release the autograd graph (activations) before the next
-        # micro-batch — the point of output-layer partitioning.
+        # micro-batch: these three names are its only roots and the
+        # tape has no cycles, so refcounting frees it right here.
         del logits, partial, input_feats
-        gc.collect()
         return loss_value, peak
 
     def finish_iteration(

@@ -5,6 +5,8 @@ workload, the device OOMs during concrete execution.  BuffaloTrainer
 must tighten the scheduling constraint and retry rather than crash.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.datasets import load
 from repro.device import SimulatedGPU
 from repro.errors import DeviceOutOfMemoryError
 from repro.gnn.footprint import ModelSpec
+from repro.obs.metrics import get_metrics
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +96,59 @@ class TestOOMResilience:
         before = trainer.scheduler.memory_constraint
         trainer.run_iteration(dataset.train_nodes[:60])
         assert trainer.scheduler.memory_constraint == before
+
+
+class TestCollectorCalls:
+    """``gc.collect`` runs on the OOM re-plan path and nowhere else.
+
+    A micro-batch releases its autograd graph by reference counting
+    (tests/device/test_ledger_neutrality.py); only a failed iteration,
+    whose traceback pins the graph, is worth a collector pass.
+    """
+
+    @pytest.fixture()
+    def collects(self, monkeypatch):
+        calls = []
+        real = gc.collect
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gc, "collect", counting)
+        return calls
+
+    def test_successful_iteration_never_collects(self, dataset, collects):
+        trainer = _trainer(dataset, constraint_fraction=0.5)
+        report = trainer.run_iteration(dataset.train_nodes[:60])
+        assert report.plan.k > 1
+        assert collects == []
+
+    def test_one_collect_per_retry_then_a_clean_ledger(
+        self, dataset, collects
+    ):
+        trainer = _trainer(dataset, constraint_fraction=3.0)
+        oom_retries = get_metrics().counter("buffalo.oom_retries")
+        retries_before = oom_retries.value
+        report = trainer.run_iteration(dataset.train_nodes[:60])
+        retries = oom_retries.value - retries_before
+        assert retries >= 1
+        assert len(collects) == retries
+        # Nothing of the failed attempts was still charged while the
+        # re-planned one ran: a trainer that never failed, planning
+        # under the same (tightened) constraint, peaks at the same byte.
+        fresh = BuffaloTrainer(
+            dataset,
+            trainer.spec,
+            SimulatedGPU(capacity_bytes=trainer.device.capacity),
+            fanouts=[6, 6],
+            seed=0,
+            memory_constraint=trainer.scheduler.memory_constraint,
+        )
+        collects.clear()
+        expected = fresh.run_iteration(dataset.train_nodes[:60])
+        assert collects == []
+        assert expected.plan.k == report.plan.k
+        assert report.result.micro_batch_peaks == (
+            expected.result.micro_batch_peaks
+        )

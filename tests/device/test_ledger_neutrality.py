@@ -12,6 +12,7 @@ current values in ``PINS`` form.
 """
 
 import gc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,9 +23,10 @@ from repro.core.grouping import BucketGroup
 from repro.core.microbatch import MicroBatch
 from repro.datasets import load
 from repro.device import MemoryTracker, SimulatedGPU
+from repro.device.profiler import Profiler
 from repro.gnn.footprint import ModelSpec
 from repro.graph import sample_batch
-from repro.nn import SGD
+from repro.nn import LSTM, SGD
 from repro.tensor import Tensor
 
 # (aggregator, K) -> (peak_bytes, live_bytes after the iteration,
@@ -39,15 +41,19 @@ PINS = {
 }
 
 
-def _iteration(aggregator, k):
-    """One seeded iteration; returns the ledger's integers and the device."""
+def _setup(aggregator, k, kernel_backend="reference"):
+    """A seeded trainer on a fresh device and its ``k`` micro-batches."""
     dataset = load("ogbn_arxiv", scale=0.02, seed=0)
     batch = sample_batch(dataset.graph, dataset.train_nodes[:48], [4, 6], rng=0)
     spec = ModelSpec(dataset.feat_dim, 16, dataset.n_classes, 2, aggregator)
     model = build_model(spec, rng=3)
     device = SimulatedGPU(2**30)
     trainer = MicroBatchTrainer(
-        model, spec, SGD(model.parameters(), lr=0.05), device
+        model,
+        spec,
+        SGD(model.parameters(), lr=0.05),
+        device,
+        kernel_backend=kernel_backend,
     )
     micro_batches = [
         MicroBatch(
@@ -57,6 +63,13 @@ def _iteration(aggregator, k):
         )
         for piece in np.array_split(np.arange(batch.n_seeds), k)
     ]
+    return dataset, batch, trainer, micro_batches
+
+
+def _iteration(aggregator, k):
+    """One seeded iteration; returns the ledger's integers and the device."""
+    dataset, batch, trainer, micro_batches = _setup(aggregator, k)
+    device = trainer.device
     gc.collect()
     before = device.live_bytes
 
@@ -95,6 +108,103 @@ def test_live_bytes_return_to_pre_iteration_value(aggregator):
     gc.collect()
     assert device.live_bytes == 0
     assert not device.memory._tracked
+
+
+@contextmanager
+def _collector_off(save_garbage=False):
+    """No automatic collection inside the block; with ``save_garbage``
+    a ``gc.collect()`` in it moves whatever was unreachable into the
+    yielded ``gc.garbage`` instead of freeing it."""
+    gc.collect()
+    gc.disable()
+    if save_garbage:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestReleaseByRefcount:
+    """``train_micro_batch`` frees the tape with ``del``, no collector.
+
+    The collector is switched off *inside* each test (process-global
+    state is the caller's, never the library's) so only reference
+    counting can have returned the bytes.
+    """
+
+    @pytest.mark.parametrize("kernel_backend", ["reference", "fused"])
+    @pytest.mark.parametrize("aggregator", ["lstm", "pool", "mean"])
+    def test_ledger_is_back_after_every_micro_batch(
+        self, aggregator, kernel_backend
+    ):
+        dataset, batch, trainer, micro_batches = _setup(
+            aggregator, 3, kernel_backend
+        )
+        device = trainer.device
+        cutoffs = list(reversed(batch.fanouts))
+        trainer.begin_iteration()
+        with _collector_off():
+            before = device.live_bytes
+            assert before == sum(
+                p.data.nbytes for p in trainer.model.parameters()
+            )
+            for index, mb in enumerate(micro_batches):
+                _, peak = trainer.train_micro_batch(
+                    dataset,
+                    batch.node_map,
+                    mb,
+                    cutoffs,
+                    batch.n_seeds,
+                    Profiler(),
+                    index=index,
+                )
+                assert peak > before
+                assert device.live_bytes == before
+
+    def test_lstm_tape_leaves_nothing_for_the_cycle_collector(self):
+        # The fact the deleted per-micro-batch gc.collect() rests on: an
+        # LSTM forward + backward builds no reference cycle, so whoever
+        # introduces one fails here and not as a silent OOM re-plan.
+        device = SimulatedGPU(2**24)
+        rng = np.random.default_rng(0)
+        lstm = LSTM(8, 16, rng=1)
+        lstm.to_device(device)
+        parameter_bytes = device.live_bytes
+        with _collector_off(save_garbage=True) as garbage:
+            sequence = Tensor(
+                rng.standard_normal((12, 5, 8)).astype(np.float32),
+                requires_grad=True,
+                device=device,
+            )
+            loss = lstm(sequence).sum()
+            loss.backward()
+            assert device.live_bytes > parameter_bytes
+            del sequence, loss
+            lstm.zero_grad()
+            assert device.live_bytes == parameter_bytes
+            gc.collect()
+            assert garbage == []
+
+    def test_micro_batch_garbage_holds_no_tensor(self):
+        # A whole micro-batch does leave a few objects to the collector
+        # (Bucket.mark_validated's weakref registry: a dict, a weakref,
+        # its callback — no array).  None of them is a tape node.
+        dataset, batch, trainer, micro_batches = _setup("lstm", 3)
+        trainer.begin_iteration()
+        with _collector_off(save_garbage=True) as garbage:
+            trainer.train_micro_batch(
+                dataset,
+                batch.node_map,
+                micro_batches[0],
+                list(reversed(batch.fanouts)),
+                batch.n_seeds,
+                Profiler(),
+            )
+            gc.collect()
+            assert not [o for o in garbage if isinstance(o, Tensor)]
 
 
 class TestReleaseBookkeeping:
