@@ -8,7 +8,10 @@ finishes.  This backend never materializes it:
 * **sum / mean / weighted-sum / attention** — the bucket is one
   ``(n, n_src)`` CSR operator ``A`` (row ``i`` holds that destination's
   ``d`` neighbor columns); the reduction is ``A @ src`` and its input
-  gradient is ``A^T @ grad``, both computed by ``scipy.sparse``.
+  gradient is ``A^T @ grad``, both computed by the compiled routines
+  behind ``scipy.sparse``'s ``@`` (``csr_matvecs`` / ``csc_matvecs``),
+  called on the three CSR arrays directly — no sparse-matrix object
+  is built.
 * **max** — a per-column running maximum with an int32 best-column
   tracker; backward scatters the output gradient to each column masked
   by ``best == j`` (exactly the dense argmax semantics, including
@@ -45,7 +48,11 @@ pool/LSTM neighbor tensors the fused layer cannot express.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as _sparse
+
+# The routines ``csr_matrix @ dense`` and ``csr_matrix.T @ dense``
+# resolve to.  Private to scipy: tests/kernels/test_differential.py has
+# one canary pinning their signature, so an upgrade fails there.
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from repro.config import INDEX_DTYPE
 from repro.gnn.block import Block
@@ -64,6 +71,38 @@ __all__ = ["FusedBackend"]
 #: buckets of a power-law batch sit well under it, the cut-off bucket
 #: far above).
 DENSE_FALLBACK_ELEMENTS = 16384
+
+
+def _matvecs(
+    routine,
+    n_rows: int,
+    n_cols: int,
+    operator: tuple[np.ndarray, np.ndarray, np.ndarray],
+    dense: np.ndarray,
+) -> np.ndarray:
+    """``operator @ dense`` for an ``(n_rows, n_cols)`` compressed matrix.
+
+    ``routine`` is ``csr_matvecs`` for a CSR ``operator`` and
+    ``csc_matvecs`` for a CSC one (a CSR matrix's arrays read as CSC
+    are its transpose).  The output is allocated and the routine called
+    exactly as ``scipy.sparse``'s ``@`` does, so results are the bits
+    ``csr_matrix(operator) @ dense`` gives; what is skipped is building
+    the matrix object — its format check, its scan of the indices for
+    a narrower dtype and the ``__matmul__`` dispatch chain cost more
+    than the product itself on the small buckets of a K >> 1 schedule.
+    """
+    data, indices, indptr = operator
+    n_vecs = dense.shape[1]
+    # Owned allocation: the forward product becomes Tensor.data, the
+    # backward one is sized by the source rows and dropped by the caller.
+    out = np.zeros(  # repro: noqa[hot-alloc] owned result, as scipy allocates it
+        (n_rows, n_vecs), dtype=np.result_type(data.dtype, dense.dtype)
+    )
+    routine(
+        n_rows, n_cols, n_vecs, indptr, indices, data, dense.ravel(),
+        out.ravel(),
+    )
+    return out
 
 
 class FusedBackend(KernelBackend):
@@ -137,10 +176,13 @@ class FusedBackend(KernelBackend):
         bucket: Bucket,
         weights: np.ndarray | None,
         dtype,
-    ):
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The bucket's ``(n, n_src)`` CSR aggregation operator.
 
-        ``weights`` are the flat per-edge values; ``None`` means ones.
+        Returned as its ``(data, indices, indptr)`` arrays; all but a
+        caller-supplied ``weights`` are arena views, valid until the
+        next bucket asks for an operator.  ``weights`` are the flat
+        per-edge values; ``None`` means ones.
         """
         n, d = bucket.volume, bucket.degree
         if weights is None:
@@ -153,9 +195,7 @@ class FusedBackend(KernelBackend):
             "fused.indptr", (n + 1,), INDEX_DTYPE
         )
         np.multiply(cached_arange(n + 1, INDEX_DTYPE), d, out=indptr)
-        return _sparse.csr_matrix(
-            (weights, flat, indptr), shape=(n, block.n_src)
-        )
+        return weights, flat, indptr
 
     def _column(
         self,
@@ -213,7 +253,13 @@ class FusedBackend(KernelBackend):
         else:
             weights = None
 
-        out = self._operator(block, bucket, weights, src.dtype) @ src
+        out = _matvecs(
+            csr_matvecs,
+            bucket.volume,
+            block.n_src,
+            self._operator(block, bucket, weights, src.dtype),
+            src,
+        )
         if inv_d is not None:
             out *= inv_d
 
@@ -252,10 +298,17 @@ class FusedBackend(KernelBackend):
     ) -> np.ndarray:
         """``A^T @ grad`` — scatter the output grad back to source rows.
 
-        Returns a transient scipy product; callers hand it straight to
-        ``Tensor._accumulate``, which copies.
+        The CSR arrays of ``A`` are the CSC arrays of ``A^T``, so no
+        transpose is formed.  Returns a transient array; callers hand
+        it straight to ``Tensor._accumulate``, which copies.
         """
-        return self._operator(block, bucket, weights, grad.dtype).T @ grad
+        return _matvecs(
+            csc_matvecs,
+            block.n_src,
+            bucket.volume,
+            self._operator(block, bucket, weights, grad.dtype),
+            grad,
+        )
 
     def _weight_gradient(
         self,
