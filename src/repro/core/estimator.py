@@ -154,35 +154,38 @@ class BucketMemEstimator:
         return [self.profile(b) for b in buckets]
 
     def _profile_batch(self, buckets: list[Bucket]) -> None:
-        seg = np.concatenate(
-            [
-                np.full(b.rows.size, i, dtype=INDEX_DTYPE)
-                for i, b in enumerate(buckets)
-            ]
+        n_buckets = len(buckets)
+        seg = np.repeat(
+            np.arange(n_buckets, dtype=INDEX_DTYPE),
+            [b.rows.size for b in buckets],
         )
         rows = np.concatenate(
             [np.asarray(b.rows, dtype=INDEX_DTYPE) for b in buckets]
         )
-        n_buckets = len(buckets)
         histograms: list[list[dict[int, int]]] = [[] for _ in buckets]
 
         for block in reversed(self.blocks):
             degrees = block.indptr[rows + 1] - block.indptr[rows]
-            # Per-segment degree histogram in one bincount.
+            # Per-segment degree histogram in one bincount; nonzero of
+            # the (segment, degree) table walks it row-major, so each
+            # dict fills in ascending degree like np.unique's does.
             max_d = int(degrees.max(initial=0))
-            keys = seg * (max_d + 1) + degrees
-            counts = np.bincount(keys, minlength=n_buckets * (max_d + 1))
-            for i in range(n_buckets):
-                hist = {}
-                base = i * (max_d + 1)
-                for d in range(max_d + 1):
-                    c = int(counts[base + d])
-                    if c:
-                        hist[d] = c
-                histograms[i].append(hist)
+            counts = np.bincount(
+                seg * (max_d + 1) + degrees,
+                minlength=n_buckets * (max_d + 1),
+            ).reshape(n_buckets, max_d + 1)
+            for per_bucket in histograms:
+                per_bucket.append({})
+            hit_seg, hit_degree = np.nonzero(counts)
+            for i, d, c in zip(
+                hit_seg.tolist(),
+                hit_degree.tolist(),
+                counts[hit_seg, hit_degree].tolist(),
+            ):
+                histograms[i][-1][d] = c
 
-            if degrees.sum() > 0:
-                total = int(degrees.sum())
+            total = int(degrees.sum())
+            if total > 0:
                 offsets = np.zeros(rows.size, dtype=INDEX_DTYPE)
                 np.cumsum(degrees[:-1], out=offsets[1:])
                 starts = block.indptr[rows]
@@ -190,20 +193,24 @@ class BucketMemEstimator:
                     np.repeat(starts - offsets, degrees)
                     + np.arange(total, dtype=INDEX_DTYPE)
                 )
-                nbr_positions = block.indices[flat_pos]
-                nbr_seg = np.repeat(seg, degrees)
-                combined = np.concatenate([rows, nbr_positions])
-                combined_seg = np.concatenate([seg, nbr_seg])
-                # Per-segment unique via one lexsort.
-                order = np.lexsort((combined, combined_seg))
-                combined = combined[order]
-                combined_seg = combined_seg[order]
-                keep = np.ones(combined.size, dtype=bool)
-                keep[1:] = (combined[1:] != combined[:-1]) | (
-                    combined_seg[1:] != combined_seg[:-1]
+                # Per-segment unique via one sort of a single int64 key:
+                # rows and neighbor positions both index src_nodes
+                # (dst-prefix), so seg * n_src + row orders by segment,
+                # then row, and n_buckets * n_src is nowhere near 2**63.
+                stride = block.n_src
+                base = seg * stride
+                keys = np.concatenate(
+                    [
+                        base + rows,
+                        np.repeat(base, degrees) + block.indices[flat_pos],
+                    ]
                 )
-                rows = combined[keep]
-                seg = combined_seg[keep]
+                keys.sort()
+                keep = np.ones(keys.size, dtype=bool)
+                np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+                keys = keys[keep]
+                seg = keys // stride
+                rows = keys - seg * stride
 
         sizes = np.bincount(seg, minlength=n_buckets)
         for i, bucket in enumerate(buckets):
