@@ -36,8 +36,8 @@ def group_input_nodes(blocks: list[Block], rows: np.ndarray) -> np.ndarray:
     memory estimator performs, but returning the concrete node ids
     instead of their count.  The result equals the ``src_nodes`` of the
     input-most block a micro-batch built from ``rows`` would carry, so
-    the cross-group feature-reuse layer can compute input overlap
-    *before* any micro-batch blocks are generated.
+    the split placement policy can price each group's shard reads and
+    halo *before* any micro-batch blocks are generated.
     """
     rows = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
     for block in reversed(blocks):
@@ -86,7 +86,7 @@ class SchedulePlan:
 
         ``blocks`` is the *batch-level* chain the plan was scheduled
         from.  Results are cached on the plan (the sets are consulted
-        both by the feature-reuse planner and by telemetry).
+        both by split placement and by the store-I/O experiment).
         """
         if self._input_sets is None:
             self._input_sets = [

@@ -104,6 +104,11 @@ class PipelineEngine:
         report = PipelineReport()
         tracer = get_tracer()
         metrics = get_metrics()
+        staging_seconds = metrics.histogram(
+            "buffalo.pipeline.staging_s",
+            SECONDS_BUCKETS,
+            help="host feature-gather seconds per micro-batch",
+        )
 
         contributions = GradientContributions()
         for trainer in self.trainers:
@@ -152,11 +157,7 @@ class PipelineEngine:
                     compute_s=compute_s,
                 )
             )
-            metrics.histogram(
-                "buffalo.pipeline.staging_s",
-                SECONDS_BUCKETS,
-                help="host feature-gather seconds per micro-batch",
-            ).observe(stage_s)
+            staging_seconds.observe(stage_s)
 
         # One canonical reduction, installed on every replica:
         # identical gradients -> identical steps -> replicas stay in sync.
