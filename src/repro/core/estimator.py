@@ -37,6 +37,7 @@ from repro.gnn.footprint import (
     layer_footprint,
     training_peak_bytes,
 )
+from repro.graph.subgraph import _ragged_gather, unique_ids
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,35 @@ class BucketProfile:
     degree: int
     n_input: int
     layer_histograms: tuple[dict[int, int], ...]
+
+
+def walk_rows(
+    blocks: list[Block], rows: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Rows of ``blocks[0]`` reachable from output ``rows`` of ``blocks[-1]``.
+
+    Walks the chain output-most block first.  Each layer's next rows
+    are the current rows themselves (their hidden states feed the
+    combine step) plus every gathered neighbor position — positions
+    into ``src_nodes`` are the previous block's row ids by the chain
+    property — deduped by :func:`~repro.graph.subgraph.unique_ids` over
+    the block's ``n_src``.  Degree-0 rows keep only themselves.
+
+    Returns the input-layer rows and each layer's row degrees,
+    input-most first.
+    """
+    rows = np.asarray(rows, dtype=INDEX_DTYPE)
+    layer_degrees: list[np.ndarray] = []
+    for block in reversed(blocks):
+        starts = block.indptr[rows]
+        degrees = block.indptr[rows + 1] - starts
+        layer_degrees.append(degrees)
+        if degrees.any():
+            neighbor_positions = _ragged_gather(block.indices, starts, degrees)
+            rows = unique_ids(
+                np.concatenate([rows, neighbor_positions]), block.n_src
+            )
+    return rows, layer_degrees[::-1]
 
 
 class BucketMemEstimator:
@@ -100,37 +130,18 @@ class BucketMemEstimator:
         cached = self._profile_cache.get(key)
         if cached is not None:
             return cached
-        histograms: list[dict[int, int]] = []
-        rows = np.asarray(bucket.rows, dtype=INDEX_DTYPE)
-        for block in reversed(self.blocks):
-            degrees = block.indptr[rows + 1] - block.indptr[rows]
-            uniq, counts = np.unique(degrees, return_counts=True)
+        rows, layer_degrees = walk_rows(self.blocks, bucket.rows)
+        histograms = []
+        for degrees in layer_degrees:
+            counts = np.bincount(degrees)
             histograms.append(
-                {int(d): int(c) for d, c in zip(uniq, counts)}
+                {d: int(counts[d]) for d in np.flatnonzero(counts).tolist()}
             )
-            # Next layer's rows: the dst rows themselves (their hidden
-            # states are inputs to the combine step) plus all gathered
-            # neighbor positions; positions into src_nodes are row ids of
-            # the previous block by the chain property.
-            if degrees.sum() > 0:
-                starts = block.indptr[rows]
-                total = int(degrees.sum())
-                offsets = np.zeros(rows.size, dtype=INDEX_DTYPE)
-                np.cumsum(degrees[:-1], out=offsets[1:])
-                flat_pos = (
-                    np.repeat(starts - offsets, degrees)
-                    + np.arange(total, dtype=INDEX_DTYPE)
-                )
-                neighbor_positions = block.indices[flat_pos]
-                rows = np.unique(
-                    np.concatenate([rows, neighbor_positions])
-                )
-            # Degree-0 rows keep only themselves.
         result = BucketProfile(
             n_output=bucket.volume,
             degree=bucket.degree,
             n_input=int(rows.size),
-            layer_histograms=tuple(reversed(histograms)),
+            layer_histograms=tuple(histograms),
         )
         self._profile_cache[key] = result
         return result
@@ -184,15 +195,7 @@ class BucketMemEstimator:
             ):
                 histograms[i][-1][d] = c
 
-            total = int(degrees.sum())
-            if total > 0:
-                offsets = np.zeros(rows.size, dtype=INDEX_DTYPE)
-                np.cumsum(degrees[:-1], out=offsets[1:])
-                starts = block.indptr[rows]
-                flat_pos = (
-                    np.repeat(starts - offsets, degrees)
-                    + np.arange(total, dtype=INDEX_DTYPE)
-                )
+            if degrees.any():
                 # Per-segment unique via one sort of a single int64 key:
                 # rows and neighbor positions both index src_nodes
                 # (dst-prefix), so seg * n_src + row orders by segment,
@@ -202,7 +205,10 @@ class BucketMemEstimator:
                 keys = np.concatenate(
                     [
                         base + rows,
-                        np.repeat(base, degrees) + block.indices[flat_pos],
+                        np.repeat(base, degrees)
+                        + _ragged_gather(
+                            block.indices, block.indptr[rows], degrees
+                        ),
                     ]
                 )
                 keys.sort()

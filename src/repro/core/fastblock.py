@@ -49,6 +49,8 @@ def generate_blocks_fast(
     """
     if seeds_local is None:
         seeds_local = batch.seeds_local
+    if n_layers is None:
+        n_layers = batch.n_layers
 
     def row_fn(frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return gather_rows(batch.graph, frontier)
@@ -56,7 +58,7 @@ def generate_blocks_fast(
     # The span gate is one attribute check when tracing is disabled,
     # keeping the hot path clean; the counters are a few float adds.
     with get_tracer().span("fastblock.generate") as span:
-        blocks = assemble_blocks(batch, seeds_local, row_fn, n_layers)
+        blocks = assemble_blocks(batch.n_nodes, seeds_local, row_fn, n_layers)
         total_nodes = sum(b.n_src for b in blocks)
         span.set_attrs(
             {

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import INDEX_DTYPE
-from repro.core.estimator import BucketMemEstimator
+from repro.core.estimator import BucketMemEstimator, walk_rows
 from repro.core.grouping import (
     BucketGroup,
     mem_balanced_grouping,
@@ -24,6 +23,7 @@ from repro.gnn.block import Block
 from repro.gnn.bucketing import Bucket, bucketize_degrees, detect_explosion
 from repro.gnn.footprint import ModelSpec
 from repro.graph.sampling import SampledBatch
+from repro.graph.subgraph import unique_ids
 from repro.obs.metrics import SMALL_COUNT_BUCKETS, get_metrics
 from repro.obs.trace import get_tracer
 
@@ -39,20 +39,7 @@ def group_input_nodes(blocks: list[Block], rows: np.ndarray) -> np.ndarray:
     the split placement policy can price each group's shard reads and
     halo *before* any micro-batch blocks are generated.
     """
-    rows = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
-    for block in reversed(blocks):
-        degrees = block.indptr[rows + 1] - block.indptr[rows]
-        if degrees.sum() > 0:
-            starts = block.indptr[rows]
-            total = int(degrees.sum())
-            offsets = np.zeros(rows.size, dtype=INDEX_DTYPE)
-            np.cumsum(degrees[:-1], out=offsets[1:])
-            flat_pos = (
-                np.repeat(starts - offsets, degrees)
-                + np.arange(total, dtype=INDEX_DTYPE)
-            )
-            neighbor_positions = block.indices[flat_pos]
-            rows = np.unique(np.concatenate([rows, neighbor_positions]))
+    rows, _ = walk_rows(blocks, unique_ids(rows, blocks[-1].n_dst))
     return blocks[0].src_nodes[rows]
 
 

@@ -24,24 +24,26 @@ from repro.errors import GraphError
 from repro.gnn.block import Block
 from repro.graph.csr import CSRGraph
 from repro.graph.sampling import SampledBatch
+from repro.graph.subgraph import unique_ids
 
 RowFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def assemble_blocks(
-    batch: SampledBatch,
+    n_nodes: int,
     seeds_local: np.ndarray,
     row_fn: RowFn,
-    n_layers: int | None = None,
+    n_layers: int,
 ) -> list[Block]:
     """Walk frontiers from ``seeds_local`` inward, building chained blocks.
 
     Args:
-        batch: the sampled batch (supplies the node universe).
-        seeds_local: batch-local ids of the output nodes.
-        row_fn: maps an array of batch-local nodes to their neighbor rows
-            ``(indptr, flat)`` in batch-local ids.
-        n_layers: number of blocks to build (default: the batch's depth).
+        n_nodes: size of the node universe the ids are drawn from (a
+            batch's ``n_nodes``, or a graph's for full-neighbor blocks).
+        seeds_local: ids of the output nodes.
+        row_fn: maps an array of node ids to their neighbor rows
+            ``(indptr, flat)`` in the same id space.
+        n_layers: number of blocks to build.
 
     Returns:
         Blocks input-most first; ``blocks[-1].dst_nodes == seeds_local``.
@@ -49,18 +51,15 @@ def assemble_blocks(
     seeds_local = np.asarray(seeds_local, dtype=INDEX_DTYPE)
     if seeds_local.size == 0:
         raise GraphError("cannot build blocks for an empty seed set")
-    if n_layers is None:
-        n_layers = batch.n_layers
 
-    position = np.full(batch.n_nodes, -1, dtype=INDEX_DTYPE)
+    position = np.full(n_nodes, -1, dtype=INDEX_DTYPE)
     blocks_reversed: list[Block] = []
     frontier = seeds_local
 
     for _ in range(n_layers):
         indptr, flat = row_fn(frontier)
         position[frontier] = np.arange(frontier.size, dtype=INDEX_DTYPE)
-        new_nodes = np.unique(flat)
-        new_nodes = new_nodes[position[new_nodes] < 0]
+        new_nodes = unique_ids(flat[position[flat] < 0], n_nodes)
         position[new_nodes] = np.arange(
             frontier.size, frontier.size + new_nodes.size, dtype=INDEX_DTYPE
         )
@@ -106,6 +105,8 @@ def generate_blocks_baseline(
 
     if seeds_local is None:
         seeds_local = batch.seeds_local
+    if n_layers is None:
+        n_layers = batch.n_layers
     node_map = batch.node_map
     sub = batch.graph
     local_of = np.full(full_graph.n_nodes, -1, dtype=INDEX_DTYPE)
@@ -144,7 +145,7 @@ def generate_blocks_baseline(
         return indptr, flat
 
     start = _time.perf_counter()
-    blocks = assemble_blocks(batch, seeds_local, row_fn, n_layers)
+    blocks = assemble_blocks(batch.n_nodes, seeds_local, row_fn, n_layers)
     if profiler is not None:
         total = _time.perf_counter() - start
         check_record = profiler._record("connection_check")

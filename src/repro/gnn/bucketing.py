@@ -37,27 +37,20 @@ class Bucket:
 
     def __post_init__(self) -> None:
         self.rows = np.ascontiguousarray(self.rows, dtype=INDEX_DTYPE)
-        # Blocks this bucket's row degrees have been validated against,
-        # keyed by id with weak cleanup (buckets outliving their block
-        # must not pin it, and Block is unhashable).  The kernel layer
-        # checks degrees once per (bucket, block) pair instead of on
-        # every forward — see repro.kernels.csr.
-        self._validated_blocks: dict[int, weakref.ref] = {}
+        # The block this bucket's row degrees last validated against, so
+        # the kernel layer checks them once per (bucket, block) pair —
+        # see repro.kernels.csr.  Weak (a bucket must not pin its block)
+        # and callback-free (a callback closing over us is a cycle).
+        self._validated_block: weakref.ref | None = None
 
     def validated_for(self, block) -> bool:
         """Whether row degrees were already validated against ``block``."""
-        ref = self._validated_blocks.get(id(block))
+        ref = self._validated_block
         return ref is not None and ref() is block
 
     def mark_validated(self, block) -> None:
         """Record that this bucket's rows validated against ``block``."""
-        key = id(block)
-        registry = self._validated_blocks
-
-        def _drop(_ref, _key=key, _registry=registry) -> None:
-            _registry.pop(_key, None)
-
-        registry[key] = weakref.ref(block, _drop)
+        self._validated_block = weakref.ref(block)
 
     @property
     def volume(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.config import INDEX_DTYPE, rng_from
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
-from repro.graph.subgraph import _ragged_gather
+from repro.graph.subgraph import _ragged_gather, unique_ids
 
 
 def sample_neighbors(
@@ -77,7 +77,7 @@ def sample_neighbors(
     big_idx = np.flatnonzero(~whole)
     if big_idx.size:
         big_deg = deg[big_idx]
-        for d in np.unique(big_deg):
+        for d in unique_ids(big_deg, int(big_deg.max()) + 1):
             sel = big_idx[big_deg == d]
             rows = graph.indices[
                 starts[sel][:, None] + np.arange(int(d), dtype=INDEX_DTYPE)
@@ -153,14 +153,15 @@ def sample_batch(
     seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
     if seeds.size == 0:
         raise GraphError("cannot sample a batch with no seeds")
-    if len(np.unique(seeds)) != seeds.size:
+    lookup = np.full(graph.n_nodes, -1, dtype=INDEX_DTYPE)
+    seed_locals = np.arange(seeds.size, dtype=INDEX_DTYPE)
+    lookup[seeds] = seed_locals
+    # A repeated seed is overwritten by its last occurrence.
+    if not np.array_equal(lookup[seeds], seed_locals):
         raise GraphError("seed nodes must be unique")
     fanouts = tuple(fanouts)
     if not fanouts:
         raise GraphError("fanouts must contain at least one layer")
-
-    lookup = np.full(graph.n_nodes, -1, dtype=INDEX_DTYPE)
-    lookup[seeds] = np.arange(seeds.size, dtype=INDEX_DTYPE)
     node_map_parts: list[np.ndarray] = [seeds]
     n_local = seeds.size
 
@@ -175,8 +176,7 @@ def sample_batch(
         indptr, flat = sample_neighbors(graph, frontier_global, fanout, rng)
         waves.append((lookup[frontier_global].copy(), np.diff(indptr), flat))
 
-        new_globals = np.unique(flat)
-        new_globals = new_globals[lookup[new_globals] < 0]
+        new_globals = unique_ids(flat[lookup[flat] < 0], graph.n_nodes)
         lookup[new_globals] = np.arange(
             n_local, n_local + new_globals.size, dtype=INDEX_DTYPE
         )
@@ -206,11 +206,14 @@ def sample_batch(
         sub_indices[dest] = lookup[flat]
 
     # Rows were sorted in global-id order; re-sort within each row by
-    # local id so binary-search lookups on the subgraph stay valid.
+    # local id so binary-search lookups on the subgraph stay valid: one
+    # sort of the int64 key row * n_local + local id.
     if sub_indices.size:
-        row_ids = np.repeat(np.arange(n_local, dtype=INDEX_DTYPE), counts)
-        order = np.lexsort((sub_indices, row_ids))
-        sub_indices = sub_indices[order]
+        row_base = np.repeat(np.arange(n_local, dtype=INDEX_DTYPE), counts)
+        row_base *= n_local
+        keys = row_base + sub_indices
+        keys.sort()
+        sub_indices = keys - row_base
 
     sub = CSRGraph(sub_indptr, sub_indices, validate=False)
     return SampledBatch(

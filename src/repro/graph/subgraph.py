@@ -43,6 +43,21 @@ def gather_rows(graph: CSRGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndar
     return indptr, flat
 
 
+def unique_ids(ids: np.ndarray, universe: int) -> np.ndarray:
+    """Sorted distinct values of ``ids``, all of which lie in ``[0, universe)``.
+
+    Byte-equal to ``np.unique(ids)`` (values, ``INDEX_DTYPE``, ascending
+    order) for ids in range; an id ``>= universe`` raises ``IndexError``.
+    One bool mark over the universe replaces the sort, so the cost is
+    O(len(ids) + universe) with the mark as the only scratch.  The
+    frontier walks pass one graph's ``n_nodes`` or one block's
+    ``n_src``, against which a hop's duplicate-heavy frontier is large.
+    """
+    mark = np.zeros(universe, dtype=bool)
+    mark[ids] = True
+    return np.flatnonzero(mark).astype(INDEX_DTYPE, copy=False)
+
+
 def khop_in_nodes(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
     """All nodes reachable from ``seeds`` within ``hops`` reverse edges.
 
@@ -58,10 +73,8 @@ def khop_in_nodes(graph: CSRGraph, seeds: np.ndarray, hops: int) -> np.ndarray:
         if frontier.size == 0:
             break
         _, flat = gather_rows(graph, frontier)
-        new = np.unique(flat)
-        new = new[~seen[new]]
-        seen[new] = True
-        frontier = new
+        frontier = unique_ids(flat[~seen[flat]], graph.n_nodes)
+        seen[frontier] = True
     return np.flatnonzero(seen).astype(INDEX_DTYPE)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +49,42 @@ DEFAULT_HOT_CACHE_BYTES = 16 << 20
 
 def shard_name(shard: int) -> str:
     return f"features/shard-{shard:05d}.npy"
+
+
+def assemble_rows(
+    ids: np.ndarray,
+    hot_slot: np.ndarray,
+    hot_rows: np.ndarray,
+    open_shard: Callable[[int], np.ndarray],
+    shard_rows: int,
+) -> tuple[np.ndarray, int]:
+    """Rows of ``ids`` as a fresh array, and how many the hot cache served.
+
+    Each row is copied into the output once past its source read: hot
+    rows by one take from the cache, cold rows by one take per shard —
+    in ascending id order, each shard touched once — each scattered
+    straight to its output positions.
+    """
+    out = np.empty((ids.size, hot_rows.shape[1]), dtype=hot_rows.dtype)
+    slots = hot_slot[ids]
+    hot_pos = np.flatnonzero(slots >= 0)
+    if hot_pos.size:
+        out[hot_pos] = np.take(hot_rows, slots[hot_pos], axis=0)
+    if hot_pos.size < ids.size:
+        cold_pos = np.flatnonzero(slots < 0)
+        cold_pos = cold_pos[np.argsort(ids[cold_pos], kind="stable")]
+        cold_ids = ids[cold_pos]
+        shards = cold_ids // shard_rows
+        bounds = np.flatnonzero(np.diff(shards)) + 1
+        start = 0
+        for end in bounds.tolist() + [cold_ids.size]:
+            shard = int(shards[start])
+            local = cold_ids[start:end] - shard * shard_rows
+            out[cold_pos[start:end]] = np.take(
+                open_shard(shard), local, axis=0
+            )
+            start = end
+    return out, int(hot_pos.size)
 
 
 class FeatureStore:
@@ -116,8 +153,8 @@ class FeatureStore:
             hot_cache_bytes = max(min(hot_cache_bytes, headroom), 0)
         n_hot = min(hot_cache_bytes // max(self.row_bytes, 1), n_nodes)
         self._hot_slot = np.full(n_nodes, -1, dtype=np.int32)  # guarded-by: construction-only (read-only once published)
+        self._hot_rows = np.empty((0, dim), dtype=self.dtype)
         if n_hot <= 0:
-            self._hot_rows = np.empty((0, dim), dtype=self.dtype)
             self._note_resident(0)
             return
         order = load_mapped(self.root, HOT_ORDER_FILE, self.manifest)
@@ -125,8 +162,9 @@ class FeatureStore:
         hot_ids = np.asarray(  # repro: noqa[memmap-copy]
             order[:n_hot], dtype=INDEX_DTYPE
         )
-        self._hot_rows = self._read_rows(np.sort(hot_ids))
-        self._hot_slot[np.sort(hot_ids)] = np.arange(n_hot, dtype=np.int32)
+        hot_ids = np.sort(hot_ids)
+        self._hot_rows, _ = self._gather(hot_ids)
+        self._hot_slot[hot_ids] = np.arange(n_hot, dtype=np.int32)
         # The warm-up read is disk traffic but not a gather; keep the
         # gather counters clean.
         self.disk_rows = 0
@@ -178,27 +216,21 @@ class FeatureStore:
                 mapped = self._shards.setdefault(shard, mapped)
         return mapped
 
-    def _read_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Read ``ids`` (ascending) straight from the shards."""
-        out = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
-        if ids.size == 0:
-            return out
-        shards = ids // self.shard_rows
-        bounds = np.flatnonzero(np.diff(shards)) + 1
-        start = 0
-        for end in list(bounds) + [ids.size]:
-            shard = int(shards[start])
-            local = ids[start:end] - shard * self.shard_rows
-            out[start:end] = self._shard(shard)[local]
-            start = end
-        with self._lock:
-            self.disk_rows += ids.size
-            self.bytes_read += ids.size * self.row_bytes
-        get_metrics().counter(
-            "buffalo.store.disk_bytes_read",
-            help="feature bytes read from store shards",
-        ).inc(ids.size * self.row_bytes)
-        return out
+    def _gather(self, ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """:func:`assemble_rows` from this store, counting disk reads."""
+        out, n_hot = assemble_rows(
+            ids, self._hot_slot, self._hot_rows, self._shard, self.shard_rows
+        )
+        n_cold = ids.size - n_hot
+        if n_cold:
+            with self._lock:
+                self.disk_rows += n_cold
+                self.bytes_read += n_cold * self.row_bytes
+            get_metrics().counter(
+                "buffalo.store.disk_bytes_read",
+                help="feature bytes read from store shards",
+            ).inc(n_cold * self.row_bytes)
+        return out, n_hot
 
     # ------------------------------------------------------------------
     # Gather
@@ -212,17 +244,7 @@ class FeatureStore:
         ids = np.asarray(node_ids, dtype=INDEX_DTYPE).ravel()
         start = time.perf_counter()
         with get_tracer().span("store.gather", {"n_rows": int(ids.size)}):
-            out = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
-            slots = self._hot_slot[ids]
-            hot = slots >= 0
-            n_hot = int(np.count_nonzero(hot))
-            if n_hot:
-                out[hot] = self._hot_rows[slots[hot]]
-            if n_hot < ids.size:
-                cold_pos = np.flatnonzero(~hot)
-                cold_ids = ids[cold_pos]
-                order = np.argsort(cold_ids, kind="stable")
-                out[cold_pos[order]] = self._read_rows(cold_ids[order])
+            out, n_hot = self._gather(ids)
         with self._lock:
             self.hot_hits += n_hot
             self.gathers += 1
@@ -374,35 +396,12 @@ class FeatureStoreSnapshot:
                 mapped = self._shards.setdefault(shard, mapped)
         return mapped
 
-    def _read_rows(self, ids: np.ndarray) -> np.ndarray:
-        """Read ``ids`` (ascending) straight from private shard maps."""
-        out = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
-        if ids.size == 0:
-            return out
-        shards = ids // self.shard_rows
-        bounds = np.flatnonzero(np.diff(shards)) + 1
-        start = 0
-        for end in list(bounds) + [ids.size]:
-            shard = int(shards[start])
-            local = ids[start:end] - shard * self.shard_rows
-            out[start:end] = self._shard(shard)[local]
-            start = end
-        return out
-
     def gather(self, node_ids: np.ndarray) -> np.ndarray:
         """Features of ``node_ids``, bit-identical to the store's."""
         ids = np.asarray(node_ids, dtype=INDEX_DTYPE).ravel()
-        out = np.empty((ids.size, self.shape[1]), dtype=self.dtype)
-        slots = self._hot_slot[ids]
-        hot = slots >= 0
-        n_hot = int(np.count_nonzero(hot))
-        if n_hot:
-            out[hot] = self._hot_rows[slots[hot]]
-        if n_hot < ids.size:
-            cold_pos = np.flatnonzero(~hot)
-            cold_ids = ids[cold_pos]
-            order = np.argsort(cold_ids, kind="stable")
-            out[cold_pos[order]] = self._read_rows(cold_ids[order])
+        out, n_hot = assemble_rows(
+            ids, self._hot_slot, self._hot_rows, self._shard, self.shard_rows
+        )
         with self._lock:
             self.rows_served += int(ids.size)
             self.hot_hits += n_hot

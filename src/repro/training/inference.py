@@ -17,6 +17,7 @@ from repro.config import FLOAT_DTYPE, INDEX_DTYPE
 from repro.datasets.catalog import Dataset
 from repro.errors import ReproError
 from repro.gnn.block import Block
+from repro.gnn.block_gen import assemble_blocks
 from repro.gnn.gcn import GCNLayer
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import gather_rows as graph_gather_rows
@@ -26,22 +27,13 @@ from repro.tensor.tensor import Tensor, no_grad
 
 def _chunk_block(graph: CSRGraph, chunk: np.ndarray) -> Block:
     """A single-layer block: dst = chunk, full (unsampled) neighbors."""
-    indptr, flat = graph_gather_rows(graph, chunk)
-    position = np.full(graph.n_nodes, -1, dtype=INDEX_DTYPE)
-    position[chunk] = np.arange(chunk.size, dtype=INDEX_DTYPE)
-    new_nodes = np.unique(flat)
-    new_nodes = new_nodes[position[new_nodes] < 0]
-    position[new_nodes] = np.arange(
-        chunk.size, chunk.size + new_nodes.size, dtype=INDEX_DTYPE
+    (block,) = assemble_blocks(
+        graph.n_nodes,
+        chunk,
+        lambda frontier: graph_gather_rows(graph, frontier),
+        n_layers=1,
     )
-    src_nodes = np.concatenate([chunk, new_nodes])
-    indices = position[flat] if flat.size else flat
-    return Block(
-        src_nodes=src_nodes,
-        dst_nodes=chunk,
-        indptr=indptr,
-        indices=indices,
-    )
+    return block
 
 
 def full_graph_inference(

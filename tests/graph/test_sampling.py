@@ -129,6 +129,15 @@ class TestSampleBatch:
         with pytest.raises(GraphError):
             sample_batch(random_graph(), np.array([1, 1]), [2])
 
+    @pytest.mark.parametrize(
+        "seeds", [[0, 5, 9, 5], [79, 0, 1, 79], [2, 2, 2]]
+    )
+    def test_repeated_seed_anywhere_raises(self, seeds):
+        # Uniqueness is read back from the seed lookup table: the last
+        # occurrence of a repeated seed overwrites the first one's slot.
+        with pytest.raises(GraphError, match="seed nodes must be unique"):
+            sample_batch(random_graph(), np.array(seeds), [2])
+
     def test_empty_seeds_raise(self):
         with pytest.raises(GraphError):
             sample_batch(random_graph(), np.array([], dtype=np.int64), [2])

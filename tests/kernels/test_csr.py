@@ -74,9 +74,9 @@ class TestBucketPositions:
         block = _degree2_block()
         bucket = Bucket(degree=2, rows=np.array([0, 1]))
         bucket_starts(block, bucket)
-        assert len(bucket._validated_blocks) == 1
+        assert bucket._validated_block() is block
         del block
-        assert len(bucket._validated_blocks) == 0
+        assert bucket._validated_block() is None
 
     def test_degree_zero_bucket(self):
         block = _degree2_block()
