@@ -1,35 +1,32 @@
 """``repro.analysis`` — project-aware static analysis for the Buffalo
-pipeline.
+reproduction.
 
-Two halves (ISSUE 4):
+Two halves:
 
 * **Lint framework** — an AST-based rule engine
   (:mod:`repro.analysis.framework`) with a rule registry, per-line
-  ``# repro: noqa[rule]`` suppression, ``pyproject.toml`` configuration,
-  text/JSON reporters, a committed baseline for grandfathered findings,
-  and a content-hash cache so unchanged files are never re-parsed.  The
-  domain rules (:mod:`repro.analysis.rules`) encode the paper's
-  invariants: bit-for-bit determinism in parity-critical modules, no
-  silent materialization of memmap-backed store arrays, span hygiene,
-  a closed metric-name registry, float32 discipline in hot paths, and
+  ``# repro: noqa[rule]`` suppression and text/JSON/SARIF reporters.
+  Every rule's ``default_scopes`` is its scope, and one ``repro lint``
+  walks ``src/repro`` and ``tests``.  The domain rules
+  (:mod:`repro.analysis.rules`) encode the paper's invariants:
+  bit-for-bit determinism in parity-critical modules, no silent
+  materialization of memmap-backed store arrays, span hygiene, a closed
+  metric-name registry, float32 discipline in hot paths, and
   path-bearing store/dataset errors.
-* **Concurrency checks** — a static lock-discipline pass
-  (:mod:`repro.analysis.rules.lockcheck`) that builds a lock-acquisition
-  graph over the threaded pipeline/store layers and flags unguarded
-  writes to lock-protected attributes; the whole-program concurrency
-  pass (:mod:`repro.analysis.concurrency`, ``repro lint
-  --concurrency``) that constructs a cross-module call graph,
-  propagates may/must held-lock sets, and reports lock-order cycles,
-  blocking operations under a held lock, thread-escaping unguarded
-  writes, and violated ``# guarded-by:`` / ``@locks_required``
-  contracts (:mod:`repro.analysis.contracts`); plus the opt-in runtime
-  :class:`~repro.analysis.race.RaceSentinel` that the threaded tests
-  enable to catch unsynchronized cross-thread mutation as it happens.
+* **Concurrency checks** — one whole-program lock analysis
+  (:mod:`repro.analysis.concurrency`) for the code that does cross
+  threads: the serve tier's worker and queue, and the feature store's
+  lock.  It builds a cross-module call graph, propagates may/must
+  held-lock sets, and reports lock-order cycles and self-deadlocks,
+  blocking operations under a held lock, unguarded writes to shared or
+  lock-protected attributes, and violated ``# guarded-by:``
+  declarations; plus the opt-in runtime
+  :class:`~repro.analysis.race.RaceSentinel` that threaded tests enable
+  to catch unsynchronized cross-thread mutation as it happens.
 
 Entry points: ``repro lint`` (CLI) and :func:`repro.analysis.runner.run_lint`.
 """
 
-from repro.analysis.contracts import assert_holds, locks_required
 from repro.analysis.findings import Finding
 from repro.analysis.framework import (
     FileContext,
@@ -55,9 +52,7 @@ __all__ = [
     "RaceSentinel",
     "TrackedLock",
     "all_rules",
-    "assert_holds",
     "get_rule",
-    "locks_required",
     "register_rule",
     "rule_names",
     "run_lint",

@@ -4,14 +4,15 @@ This module builds a project model (classes, methods, nested closures,
 lock attributes, attribute types) from the parsed trees of every
 in-scope file, links call sites to callees through a light type
 inference (constructor assignments, parameter/attribute annotations,
-``list[...]`` element propagation), and then solves three
-interprocedural problems the per-file ``lock-discipline`` rule cannot
-see:
+``list[...]`` element propagation), and then solves these
+interprocedural problems:
 
 * **lock-order** — the global lock graph: an edge ``A -> B`` means some
   path acquires ``B`` while (possibly transitively) holding ``A``.
   Cycles are potential deadlocks.  Edges use *may* held-sets (union over
-  call paths) so no interleaving is missed.
+  call paths) so no interleaving is missed.  A non-reentrant
+  ``threading.Lock`` acquired while it is already in that held-set is a
+  self-deadlock and is reported under the same rule.
 * **blocking-under-lock** — queue waits, ``Condition.wait``, file or
   memmap I/O, thread joins, semaphore acquires, and kernel forwards
   executed while a lock is held, directly or via a callee that blocks.
@@ -22,11 +23,23 @@ see:
 * **thread-escape** — classes with a method reachable from a
   ``threading.Thread`` target or executor submission are *shared*; every
   post-construction write to their attributes must either hold one of
-  the class's own locks or be covered by a declared guard.
-* **lock-contract** — violations of the declared vocabulary from
-  :mod:`repro.analysis.contracts`: a ``@locks_required`` callee invoked
-  without the lock, a ``# guarded-by: <lock>`` attribute written without
-  it, or a guard naming a non-existent lock.
+  the class's own locks or be covered by a declared guard.  A class that
+  owns a mutex but is reached by no thread target is checked by use: an
+  attribute it writes under its lock outside construction is protected
+  everywhere, so a lock-free write to it is reported too.
+* **lock-contract** — a ``# guarded-by: <lock>`` attribute written
+  without that lock, or a guard naming a non-existent lock.
+
+Held-sets at a call site include the callee's *must* set (intersection
+over its post-construction call sites), so a private helper whose every
+caller holds the lock runs under it — no decorator needed.
+
+``# guarded-by: <guard>`` is a trailing comment on the line that first
+assigns ``self.attr`` (conventionally in ``__init__``).  When ``<guard>``
+names a lock attribute of the same class (``_lock`` or ``self._lock``),
+every post-construction write must hold that lock.  Any other text
+(e.g. ``event hand-off (_done barrier)``) records a documented non-lock
+discipline: the attribute is exempt, but the reasoning is greppable.
 
 Deliberate limits (kept so the pass stays false-positive-free):
 return-type inference is skipped (``get_metrics().counter(...)`` stays
@@ -43,12 +56,11 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.analysis.astutils import ImportMap, dotted_name, is_self_attr
+from repro.analysis.findings import Finding
 
 __all__ = [
-    "ConcurrencyFinding",
     "ProjectModel",
     "build_model",
-    "analyze",
     "analyze_project",
     "GUARD_RE",
 ]
@@ -204,7 +216,6 @@ class FunctionModel:
     blocks: list[BlockEvent] = field(default_factory=list)
     muts: list[MutEvent] = field(default_factory=list)
     spawns: list[SpawnEvent] = field(default_factory=list)
-    locks_required: tuple[str, ...] | None = None
     param_types: dict[str, str] = field(default_factory=dict)
     local_types: dict[str, str] = field(default_factory=dict)
     nested: dict[str, "FunctionModel"] = field(default_factory=dict)
@@ -245,15 +256,6 @@ class ModuleModel:
     relpath: str
     classes: dict[str, ClassModel] = field(default_factory=dict)
     functions: dict[str, FunctionModel] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ConcurrencyFinding:
-    rule: str  # lock-order | blocking-under-lock | thread-escape | lock-contract
-    path: str
-    line: int
-    col: int
-    message: str
 
 
 # --------------------------------------------------------------------------
@@ -651,19 +653,6 @@ def _scan_function(
         t = _ann_type(arg.annotation, imports, module)
         if t is not None:
             fn.param_types[arg.arg] = t
-    for dec in node.decorator_list:
-        if isinstance(dec, ast.Call):
-            dec_name = dotted_name(dec.func) or ""
-            if dec_name.rsplit(".", 1)[-1] == "locks_required":
-                names = []
-                for a in dec.args:
-                    if isinstance(a, ast.Constant) and isinstance(a.value, str):
-                        value = a.value
-                        if value.startswith("self."):
-                            value = value[len("self."):]
-                        names.append(value)
-                if names:
-                    fn.locks_required = tuple(names)
     scanner = _FnScanner(fn, cls, imports)
     for stmt in node.body:
         scanner.visit(stmt)
@@ -965,7 +954,7 @@ def _display_fn(fn: FunctionModel) -> str:
 class _Solver:
     def __init__(self, model: ProjectModel) -> None:
         self.model = model
-        self.findings: list[ConcurrencyFinding] = []
+        self.findings: list[Finding] = []
         self.resolved: dict[int, FunctionModel | tuple[str, str] | None] = {}
         self.call_sites: dict[str, list[tuple[FunctionModel, CallEvent]]] = (
             defaultdict(list)
@@ -1037,26 +1026,21 @@ class _Solver:
                         changed = True
 
     def _compute_must(self) -> None:
-        declared: dict[str, frozenset[str]] = {}
-        for fn in self.model.functions.values():
-            if fn.locks_required and fn.cls:
-                declared[fn.qualname] = frozenset(
-                    f"{fn.cls}.{lock}" for lock in fn.locks_required
-                )
+        """Locks held at every call site of a function.  Construction
+        call sites are skipped: they run before the object is published,
+        so a helper whose every later caller holds the lock runs under it.
+        """
         must: dict[str, frozenset[str]] = {
-            q: declared.get(q, frozenset()) for q in self.model.functions
+            q: frozenset() for q in self.model.functions
         }
         changed = True
         while changed:
             changed = False
-            for qual, fn in self.model.functions.items():
-                if qual in declared:
-                    continue
-                sites = self.call_sites.get(qual, [])
-                if not sites:
-                    continue
+            for qual in self.model.functions:
                 value: frozenset[str] | None = None
-                for caller, site in sites:
+                for caller, site in self.call_sites.get(qual, []):
+                    if self._is_construction(caller):
+                        continue
                     contrib = _qual_held(caller, site.held) | must[caller.qualname]
                     value = contrib if value is None else (value & contrib)
                 if value and value != must[qual]:
@@ -1145,20 +1129,28 @@ class _Solver:
     def _emit(
         self, rule: str, fn: FunctionModel, line: int, col: int, message: str
     ) -> None:
-        self.findings.append(
-            ConcurrencyFinding(rule, fn.relpath, line, col, message)
-        )
+        self.findings.append(Finding(fn.relpath, line, col, rule, message))
 
     def _check_lock_order(self) -> None:
         edges: dict[tuple[str, str], tuple[FunctionModel, int, int]] = {}
         for fn in self.model.functions.values():
             if fn.cls is None:
                 continue
+            locks = self.model.classes[fn.cls].locks
             for acq in fn.acquires:
                 to = f"{fn.cls}.{acq.lock}"
                 before = _qual_held(fn, acq.held) | self.may.get(
                     fn.qualname, set()
                 )
+                if to in before and locks.get(acq.lock) == "lock":
+                    self._emit(
+                        "lock-order",
+                        fn,
+                        acq.line,
+                        acq.col,
+                        f"{to} is acquired while it may already be held: "
+                        f"threading.Lock is not reentrant (self-deadlock)",
+                    )
                 for frm in sorted(before):
                     if frm != to:
                         edges.setdefault((frm, to), (fn, acq.line, acq.col))
@@ -1266,23 +1258,40 @@ class _Solver:
                         )
 
     def _check_escapes_and_guards(self) -> None:
-        for cls_qual in sorted(self.shared):
-            witness = self.shared[cls_qual]
-            cls = self.model.classes.get(cls_qual)
-            if cls is None:
+        """Writes of shared classes, and of classes that own a mutex.
+
+        A class no thread target reaches is checked by use: the
+        attributes it writes under its own lock after construction are
+        protected, and only its own ``self.attr`` writes are checked.
+        """
+        for cls_qual, cls in self.model.classes.items():
+            witness = self.shared.get(cls_qual)
+            own_locks = cls.mutex_quals()
+            if witness is None and not own_locks:
                 continue
-            for fn in self.model.class_functions.get(cls_qual, []):
-                if self._is_construction(fn):
-                    continue
+            fns = [
+                fn
+                for fn in self.model.class_functions.get(cls_qual, [])
+                if not self._is_construction(fn)
+            ]
+            protected = {
+                mut.attr
+                for fn in fns
+                for mut in fn.muts
+                if mut.obj == "" and self._eff_held(fn, mut.held) & own_locks
+            }
+            for fn in fns:
                 for mut in fn.muts:
-                    self._check_mut(fn, cls, mut, witness)
+                    if witness is not None or mut.obj == "":
+                        self._check_mut(fn, cls, mut, witness, protected)
 
     def _check_mut(
         self,
         fn: FunctionModel,
         cls: ClassModel,
         mut: MutEvent,
-        witness: str,
+        witness: str | None,
+        protected: set[str],
     ) -> None:
         if mut.obj == "":
             target_cls = cls
@@ -1331,7 +1340,9 @@ class _Solver:
                     )
             # non-identifier guard text: documented discipline, exempt
             return
-        if not (eff & own_locks):
+        if eff & own_locks:
+            return
+        if witness is not None:
             self._emit(
                 "thread-escape",
                 fn,
@@ -1343,39 +1354,21 @@ class _Solver:
                 f"its locks or declare '# guarded-by: <discipline>' on "
                 f"the attribute",
             )
-
-    def _check_contracts(self) -> None:
-        for fn in self.model.functions.values():
-            if self._is_construction(fn):
-                continue
-            for site in fn.calls:
-                target = self.resolved.get(id(site))
-                if (
-                    not isinstance(target, FunctionModel)
-                    or not target.locks_required
-                    or not target.cls
-                ):
-                    continue
-                need = {
-                    f"{target.cls}.{lock}" for lock in target.locks_required
-                }
-                eff = self._eff_held(fn, site.held)
-                missing = need - eff
-                if missing:
-                    self._emit(
-                        "lock-contract",
-                        fn,
-                        site.line,
-                        site.col,
-                        f"call to {_display_fn(target)} requires "
-                        f"{', '.join(sorted(need))} (locks_required) but "
-                        f"the call site does not hold "
-                        f"{', '.join(sorted(missing))}",
-                    )
+        elif attr in protected:
+            self._emit(
+                "thread-escape",
+                fn,
+                mut.line,
+                mut.col,
+                f"{display} of {target_cls.name} is written under "
+                f"{', '.join(sorted(own_locks))} elsewhere but without a "
+                f"lock in {_display_fn(fn)}; hold the lock or declare "
+                f"'# guarded-by: <discipline>' on the attribute",
+            )
 
     # -- entry point -----------------------------------------------------
 
-    def solve(self) -> list[ConcurrencyFinding]:
+    def solve(self) -> list[Finding]:
         self._link_calls()
         self._compute_init_only()
         self._compute_may()
@@ -1385,19 +1378,13 @@ class _Solver:
         self._check_lock_order()
         self._check_blocking()
         self._check_escapes_and_guards()
-        self._check_contracts()
-        self.findings.sort(
-            key=lambda f: (f.path, f.line, f.col, f.rule, f.message)
-        )
+        self.findings.sort()
         return self.findings
-
-
-def analyze(model: ProjectModel) -> list[ConcurrencyFinding]:
-    return _Solver(model).solve()
 
 
 def analyze_project(
     files: list[tuple[str, ast.Module, str, ImportMap]]
-) -> list[ConcurrencyFinding]:
-    """Convenience wrapper: build the model and solve in one step."""
-    return analyze(build_model(files))
+) -> list[Finding]:
+    """Build the model and solve it: every finding of the four rules,
+    each tagged with its rule name."""
+    return _Solver(build_model(files)).solve()

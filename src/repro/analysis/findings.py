@@ -1,11 +1,7 @@
 """The unit of lint output: one :class:`Finding` per rule violation.
 
-Findings are plain values so the framework can sort, serialize,
-deduplicate, and diff them against a baseline without touching the AST
-again.  The *baseline key* deliberately omits the line/column: a
-grandfathered finding keeps matching its baseline entry when unrelated
-edits shift it a few lines, but any change to its message (which
-embeds the offending symbol) retires the entry.
+Findings are plain values so the framework can sort and serialize
+them without touching the AST again.
 """
 
 from __future__ import annotations
@@ -30,10 +26,6 @@ class Finding:
     col: int
     rule: str
     message: str
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Location-insensitive identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def render(self) -> str:
         """``file:line:col: rule: message`` (clickable in editors/CI)."""

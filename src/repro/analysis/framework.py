@@ -29,7 +29,6 @@ from functools import cached_property
 from pathlib import Path
 
 from repro.analysis.astutils import ImportMap
-from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
 from repro.errors import ReproError
 
@@ -112,7 +111,6 @@ class FileContext:
     relpath: str
     source: str
     tree: ast.Module
-    config: LintConfig
 
     @cached_property
     def imports(self) -> ImportMap:
@@ -150,9 +148,6 @@ class LintRule:
     description: str = ""
     invariant: str = ""
     default_scopes: tuple[str, ...] = ("src/repro",)
-    #: Bumped when a rule's semantics change; part of the baseline
-    #: fingerprint, so old suppressions don't survive a rule rewrite.
-    version: int = 1
 
     def check(self, ctx: FileContext) -> list[Finding]:
         raise NotImplementedError
@@ -168,7 +163,6 @@ class ProjectContext:
     concurrency pass builds its call graph once for all four rules)."""
 
     files: list[FileContext]
-    config: LintConfig
     shared: dict = field(default_factory=dict)
 
 
@@ -176,8 +170,8 @@ class ProjectRule(LintRule):
     """A rule that needs the whole project, not one file at a time.
 
     The runner calls :meth:`check_project` once per run with every
-    in-scope file; findings are then scoped, suppressed, and baselined
-    exactly like per-file findings.  ``check`` is a no-op so project
+    in-scope file; findings are then scoped and suppressed exactly like
+    per-file findings.  ``check`` is a no-op so project
     rules compose with the per-file loop without special-casing.
     """
 

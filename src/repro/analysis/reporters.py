@@ -2,25 +2,21 @@
 
 The JSON document is a stable contract (version field, documented in
 ``docs/analysis.md`` and validated by
-``tests/analysis/test_reporters.py::test_json_schema``)::
+``tests/analysis/test_runner.py::TestReporters::test_json_schema``)::
 
     {
-      "version": 1,
+      "version": 2,
       "ok": false,
       "rules": ["dtype-promotion", ...],
-      "files_checked": 120,
-      "cache_hits": 118,
+      "files_checked": 272,
       "suppressed": 3,
-      "grandfathered": 0,
-      "stale_baseline": [{"rule": ..., "path": ..., "message": ...}],
-      "findings": [            // NEW findings only (the gate)
+      "findings": [
         {"path": "src/repro/x.py", "line": 10, "col": 4,
          "rule": "span-leak", "message": "..."}
-      ],
-      "all_findings": [...]    // including grandfathered, same shape
+      ]
     }
 
-:func:`render_sarif` emits SARIF 2.1.0 (one run, one result per *new*
+:func:`render_sarif` emits SARIF 2.1.0 (one run, one result per
 finding, rule metadata under ``tool.driver.rules``) so GitHub code
 scanning renders findings as inline PR annotations:
 ``repro lint --format sarif`` or ``--sarif <path>`` as a side output.
@@ -35,7 +31,7 @@ from repro.analysis.runner import LintResult
 
 __all__ = ["REPORT_VERSION", "render_text", "render_json", "render_sarif"]
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = (
@@ -45,29 +41,14 @@ SARIF_SCHEMA = (
 
 
 def render_text(result: LintResult, *, verbose: bool = False) -> str:
-    """One ``file:line:col: rule: message`` line per new finding."""
-    lines = [f.render() for f in result.new_findings]
-    if result.stale_baseline:
-        lines.append("")
-        lines.append(
-            f"stale baseline entries ({len(result.stale_baseline)}) — "
-            f"rerun with --write-baseline to shrink the baseline:"
-        )
-        lines.extend(
-            f"  {rule}: {path}: {message}"
-            for rule, path, message in result.stale_baseline
-        )
-    for note in result.notes:
-        lines.append(f"note: {note}")
+    """One ``file:line:col: rule: message`` line per finding."""
+    lines = [f.render() for f in result.findings]
     summary = (
-        f"{len(result.new_findings)} finding(s) "
-        f"({result.grandfathered} grandfathered, "
-        f"{result.suppressed} suppressed) in {result.files_checked} file(s)"
+        f"{len(result.findings)} finding(s) "
+        f"({result.suppressed} suppressed) in {result.files_checked} file(s)"
     )
     if verbose:
-        summary += (
-            f"; {result.cache_hits} cached; rules: {', '.join(result.rules)}"
-        )
+        summary += f"; rules: {', '.join(result.rules)}"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -78,22 +59,15 @@ def render_json(result: LintResult) -> str:
         "ok": result.ok,
         "rules": list(result.rules),
         "files_checked": result.files_checked,
-        "cache_hits": result.cache_hits,
         "suppressed": result.suppressed,
-        "grandfathered": result.grandfathered,
-        "stale_baseline": [
-            {"rule": rule, "path": path, "message": message}
-            for rule, path, message in result.stale_baseline
-        ],
-        "findings": [f.to_dict() for f in result.new_findings],
-        "all_findings": [f.to_dict() for f in result.findings],
+        "findings": [f.to_dict() for f in result.findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 document over the *new* findings (the gate)."""
-    rule_ids = sorted({f.rule for f in result.new_findings} | set(result.rules))
+    """SARIF 2.1.0 document over the findings (the gate)."""
+    rule_ids = sorted({f.rule for f in result.findings} | set(result.rules))
     rules_meta = []
     for rule_id in rule_ids:
         meta = {"id": rule_id}
@@ -129,7 +103,7 @@ def render_sarif(result: LintResult) -> str:
                 }
             ],
         }
-        for f in result.new_findings
+        for f in result.findings
     ]
     payload = {
         "$schema": SARIF_SCHEMA,

@@ -11,7 +11,6 @@ from repro.analysis.rules import (  # noqa: F401  (register on import)
     dtypes,
     error_context,
     hotalloc,
-    lockcheck,
     memmap,
     metric_names,
     spans,

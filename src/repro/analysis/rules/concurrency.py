@@ -1,4 +1,4 @@
-"""Whole-program concurrency rules (the ``--concurrency`` family).
+"""Whole-program concurrency rules.
 
 Four :class:`~repro.analysis.framework.ProjectRule` subclasses share
 one interprocedural model built by
@@ -6,45 +6,37 @@ one interprocedural model built by
 lint run (memoized on the :class:`ProjectContext`) and each rule
 surfaces one finding family from it:
 
-* ``lock-order`` — cycles in the global lock-acquisition graph;
+* ``lock-order`` — cycles in the global lock-acquisition graph, and a
+  non-reentrant lock re-acquired while it may be held;
 * ``blocking-under-lock`` — blocking operations under a must-held lock;
-* ``thread-escape`` — unguarded writes to attributes of thread-shared
-  classes;
-* ``lock-contract`` — violated ``@locks_required`` / ``# guarded-by``
-  declarations.
+* ``thread-escape`` — unguarded writes to attributes of classes a
+  thread target reaches, and lock-free writes to attributes a
+  lock-owning class otherwise writes under its lock;
+* ``lock-contract`` — violated ``# guarded-by:`` declarations.
 
-The split keeps selection, suppression, and baselining per-family
-(``# repro: noqa[thread-escape]`` does not silence a deadlock report)
-while paying the analysis cost once.
+The serve tier's worker threads and the feature store's lock are what
+these rules guard today.  The split keeps selection and suppression
+per-family (``# repro: noqa[thread-escape]`` does not silence a
+deadlock report) while paying the analysis cost once.
 """
 
 from __future__ import annotations
 
-from repro.analysis.concurrency import ConcurrencyFinding, analyze_project
+from repro.analysis.concurrency import analyze_project
 from repro.analysis.findings import Finding
 from repro.analysis.framework import ProjectContext, ProjectRule, register_rule
 
 __all__ = [
-    "CONCURRENCY_RULES",
     "LockOrderRule",
     "BlockingUnderLockRule",
     "ThreadEscapeRule",
     "LockContractRule",
 ]
 
-#: Rule names selected by ``repro lint --concurrency`` (plus the
-#: per-file ``lock-discipline`` rule, which the CLI adds).
-CONCURRENCY_RULES = (
-    "lock-order",
-    "blocking-under-lock",
-    "thread-escape",
-    "lock-contract",
-)
-
 _MODEL_KEY = "concurrency-findings"
 
 
-def _project_findings(project: ProjectContext) -> list[ConcurrencyFinding]:
+def _project_findings(project: ProjectContext) -> list[Finding]:
     findings = project.shared.get(_MODEL_KEY)
     if findings is None:
         files = [
@@ -60,17 +52,7 @@ class _ConcurrencyRule(ProjectRule):
     default_scopes = ("src/repro", "tests")
 
     def check_project(self, project: ProjectContext) -> list[Finding]:
-        return [
-            Finding(
-                path=f.path,
-                line=f.line,
-                col=f.col,
-                rule=self.name,
-                message=f.message,
-            )
-            for f in _project_findings(project)
-            if f.rule == self.name
-        ]
+        return [f for f in _project_findings(project) if f.rule == self.name]
 
 
 @register_rule
@@ -78,7 +60,8 @@ class LockOrderRule(_ConcurrencyRule):
     name = "lock-order"
     description = (
         "Cross-module lock-acquisition cycles (potential deadlocks) in "
-        "the whole-program lock graph."
+        "the whole-program lock graph, and self-deadlocks: a "
+        "threading.Lock acquired while it may already be held."
     )
     invariant = (
         "The union of every lock-acquisition order reachable through "
@@ -107,7 +90,8 @@ class ThreadEscapeRule(_ConcurrencyRule):
     name = "thread-escape"
     description = (
         "Unguarded writes to attributes of classes reachable from "
-        "threading.Thread targets or executor submissions."
+        "threading.Thread targets or executor submissions, and lock-free "
+        "writes to attributes a class otherwise writes under its lock."
     )
     invariant = (
         "Every mutable attribute of a thread-shared object is protected "
@@ -120,9 +104,9 @@ class ThreadEscapeRule(_ConcurrencyRule):
 class LockContractRule(_ConcurrencyRule):
     name = "lock-contract"
     description = (
-        "Violations of declared concurrency contracts: @locks_required "
-        "callees invoked without the lock, '# guarded-by: <lock>' "
-        "attributes written without it, or guards naming unknown locks."
+        "Violations of declared concurrency contracts: '# guarded-by: "
+        "<lock>' attributes written without the lock, or guards naming "
+        "unknown locks."
     )
     invariant = (
         "Declared locking contracts are machine-checked: an annotation "

@@ -1,15 +1,12 @@
-"""Lint orchestration: walk files, run rules, cache, baseline, report.
+"""Lint orchestration: walk files, run rules, suppress, report.
 
 :func:`run_lint` is the single entry point shared by the CLI and the
-tests.  Per file it runs only the rules whose (possibly configured)
-scope covers the file, applies ``# repro: noqa`` suppressions, and
-consults the content-hash cache; whole-program rules
-(:class:`~repro.analysis.framework.ProjectRule`) then run once over
-every parsed file, with their own cache entry keyed on the hash of the
-*entire* in-scope file set — any file changing dirties the call graph,
-so cross-file results are never replayed stale.  The committed baseline
-is subtracted at the end, so :attr:`LintResult.new_findings` is exactly
-what the CI gate fails on.
+tests.  It parses every ``.py`` file under :data:`DEFAULT_PATHS` (or
+the paths given) once, runs each per-file rule on the files under its
+``default_scopes``, then runs the whole-program rules
+(:class:`~repro.analysis.framework.ProjectRule`) once over every parsed
+file, and finally applies ``# repro: noqa`` suppressions.  A run's
+answer depends only on the tree and the rule selection.
 """
 
 from __future__ import annotations
@@ -18,31 +15,20 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    baseline_fingerprints,
-    load_baseline,
-)
-from repro.analysis.cache import (
-    PROJECT_KEY,
-    LintCache,
-    content_hash,
-    file_key,
-    project_key,
-)
-from repro.analysis.config import LintConfig, load_config
 from repro.analysis.findings import Finding
 from repro.analysis.framework import (
     AnalysisError,
     FileContext,
-    LintRule,
     ProjectContext,
     ProjectRule,
     all_rules,
     get_rule,
 )
 
-__all__ = ["LintResult", "run_lint", "iter_source_files"]
+__all__ = ["DEFAULT_PATHS", "LintResult", "run_lint", "iter_source_files"]
+
+#: Roots walked when no path is given (repo-relative).
+DEFAULT_PATHS = ("src/repro", "tests")
 
 
 @dataclass
@@ -50,91 +36,57 @@ class LintResult:
     """Outcome of one lint run.
 
     Attributes:
-        findings: post-suppression findings, including grandfathered
-            ones (sorted by location).
-        new_findings: findings not covered by the baseline — the gate.
-        grandfathered: count of findings matched by baseline entries.
-        stale_baseline: baseline keys whose finding no longer occurs.
-        invalidated_baseline: baseline keys dropped because their rule's
-            fingerprint (version/source/config) no longer matches.
+        findings: post-suppression findings, sorted by location — the
+            gate fails on any of them.
         suppressed: count of findings silenced by noqa markers.
-        files_checked: number of files linted (cache hits included).
-        cache_hits: files served from the content-hash cache.
-        project_cache_hit: whole-program pass served from cache.
+        files_checked: number of files walked.
         rules: names of the rules that ran.
-        fingerprints: per-rule baseline fingerprints of this run (what
-            ``--write-baseline`` stamps into the file).
-        notes: non-fatal configuration notes.
-        config: the resolved configuration the run used.
     """
 
     findings: list[Finding] = field(default_factory=list)
-    new_findings: list[Finding] = field(default_factory=list)
-    grandfathered: int = 0
-    stale_baseline: list[tuple[str, str, str]] = field(default_factory=list)
-    invalidated_baseline: list[tuple[str, str, str]] = field(
-        default_factory=list
-    )
     suppressed: int = 0
     files_checked: int = 0
-    cache_hits: int = 0
-    project_cache_hit: bool = False
     rules: tuple[str, ...] = ()
-    fingerprints: dict[str, str] = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
-    config: LintConfig | None = None
 
     @property
     def ok(self) -> bool:
-        """True when the gate passes (no new findings)."""
-        return not self.new_findings
+        """True when the gate passes (no findings)."""
+        return not self.findings
 
 
-def iter_source_files(config: LintConfig) -> list[Path]:
-    """Every ``.py`` file under the configured paths, minus excludes."""
+def in_scope(relpath: str, prefixes: tuple[str, ...]) -> bool:
+    """True when ``relpath`` is one of ``prefixes`` or lies under one."""
+    return any(
+        relpath == p or relpath.startswith(p.rstrip("/") + "/")
+        for p in prefixes
+    )
+
+
+def iter_source_files(
+    root: Path, paths: tuple[str, ...] | None = None
+) -> list[Path]:
+    """Every ``.py`` file under ``paths`` (default :data:`DEFAULT_PATHS`).
+
+    A default root the repository lacks is skipped; an explicitly given
+    path that does not exist is an error.
+    """
     seen: set[Path] = set()
     out: list[Path] = []
-    for entry in config.paths:
-        base = config.root / entry
+    for entry in paths or DEFAULT_PATHS:
+        base = root / entry
         if base.is_file():
             candidates = [base]
         elif base.is_dir():
             candidates = sorted(base.rglob("*.py"))
-        else:
+        elif paths:
             raise AnalysisError(f"lint path does not exist: {base}")
+        else:
+            continue
         for path in candidates:
-            rel = path.relative_to(config.root).as_posix()
-            if config.excluded(rel) or path in seen:
-                continue
-            seen.add(path)
-            out.append(path)
+            if path not in seen:
+                seen.add(path)
+                out.append(path)
     return out
-
-
-def _relpath_module(relpath: str) -> str:
-    parts = relpath[:-3].split("/")
-    if parts and parts[0] == "src":
-        parts = parts[1:]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def _import_deps(
-    ctx: FileContext, modules: dict[str, str], own_relpath: str
-) -> dict[str, str]:
-    """Project files this file imports, as ``{relpath: placeholder}``
-    (hashes filled by the caller)."""
-    deps: set[str] = set()
-    for target in ctx.imports.aliases.values():
-        parts = target.split(".")
-        for cut in range(len(parts), 0, -1):
-            relpath = modules.get(".".join(parts[:cut]))
-            if relpath is not None:
-                if relpath != own_relpath:
-                    deps.add(relpath)
-                break
-    return {d: "" for d in sorted(deps)}
 
 
 def _parse_error_finding(relpath: str, exc: SyntaxError) -> Finding:
@@ -152,160 +104,53 @@ def run_lint(
     *,
     paths: list[str] | None = None,
     rules: list[str] | None = None,
-    config: LintConfig | None = None,
-    baseline_path: str | None = None,
-    use_cache: bool = True,
-    use_baseline: bool = True,
 ) -> LintResult:
     """Lint the repository at ``root``; see :class:`LintResult`.
 
     Args:
-        root: repository root (where ``pyproject.toml`` lives).
-        paths: override the configured lint roots (repo-relative).
-        rules: run only these rule names (default: config ``select``,
-            else every registered rule).
-        config: pre-built configuration (tests); read from
-            ``pyproject.toml`` when omitted.
-        baseline_path: override the configured baseline file.
-        use_cache: consult/update the content-hash cache file.
-        use_baseline: subtract the committed baseline from the gate.
+        root: repository root the paths and rule scopes are relative to.
+        paths: lint roots (repo-relative); default :data:`DEFAULT_PATHS`.
+        rules: run only these rule names (default: every registered
+            rule).
     """
-    config = config or load_config(root)
-    if paths:
-        config.paths = tuple(paths)
-    if baseline_path:
-        config.baseline = baseline_path
-    selected = rules if rules is not None else list(config.select)
-    active = (
-        [get_rule(name) for name in selected] if selected else all_rules()
-    )
+    root = Path(root)
+    active = [get_rule(name) for name in rules] if rules else all_rules()
     active.sort(key=lambda r: r.name)
     file_rules = [r for r in active if not isinstance(r, ProjectRule)]
     project_rules = [r for r in active if isinstance(r, ProjectRule)]
+    result = LintResult(rules=tuple(r.name for r in active))
 
-    result = LintResult(
-        rules=tuple(r.name for r in active),
-        notes=config.notes,
-        config=config,
-    )
-    cache = LintCache(config.root / config.cache, enabled=use_cache)
-
-    # Pass 0: read every in-scope file once; content hashes feed both the
-    # per-file dependency checks and the whole-program cache key.
-    entries: list[tuple[Path, str, bytes]] = []
-    hashes: dict[str, str] = {}
-    for path in iter_source_files(config):
-        relpath = path.relative_to(config.root).as_posix()
-        data = path.read_bytes()
-        entries.append((path, relpath, data))
-        hashes[relpath] = content_hash(data)
-    modules = {_relpath_module(rel): rel for _, rel, _ in entries}
-    live = set(hashes)
-
-    contexts: dict[str, FileContext | None] = {}
-    parse_errors: dict[str, Finding] = {}
-
-    def get_context(path: Path, relpath: str, data: bytes) -> FileContext | None:
-        if relpath in contexts:
-            return contexts[relpath]
-        source = data.decode("utf-8")
+    contexts: dict[str, FileContext] = {}
+    raw: list[Finding] = []
+    for path in iter_source_files(root, tuple(paths) if paths else None):
+        relpath = path.relative_to(root).as_posix()
+        result.files_checked += 1
+        source = path.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
-            contexts[relpath] = None
-            parse_errors[relpath] = _parse_error_finding(relpath, exc)
-            return None
-        ctx = FileContext(
-            path=path, relpath=relpath, source=source, tree=tree,
-            config=config,
-        )
+            result.findings.append(_parse_error_finding(relpath, exc))
+            continue
+        ctx = FileContext(path=path, relpath=relpath, source=source, tree=tree)
         contexts[relpath] = ctx
-        return ctx
+        for rule in file_rules:
+            if in_scope(relpath, rule.default_scopes):
+                raw.extend(rule.check(ctx))
 
-    # Per-file stage.
-    for path, relpath, data in entries:
-        applicable = [
-            r
-            for r in file_rules
-            if config.in_scope(
-                relpath, config.scope_for(r.name, r.default_scopes)
-            )
-        ]
-        result.files_checked += 1
-        if not applicable:
-            continue
-        key = file_key(data, tuple(r.name for r in applicable))
-        cached = cache.get(relpath, key, hashes)
-        if cached is not None:
-            result.cache_hits += 1
-            result.findings.extend(cached)
-            continue
-        ctx = get_context(path, relpath, data)
-        if ctx is None:
-            findings = [parse_errors[relpath]]
-            cache.put(relpath, key, findings)
-            result.findings.extend(findings)
-            continue
-        raw: list[Finding] = []
-        for rule in applicable:
-            raw.extend(rule.check(ctx))
-        kept = sorted(
-            f for f in raw if not ctx.suppressions.suppresses(f)
-        )
-        result.suppressed += len(raw) - len(kept)
-        deps = _import_deps(ctx, modules, relpath)
-        for dep in deps:
-            deps[dep] = hashes[dep]
-        cache.put(relpath, key, kept, deps)
-        result.findings.extend(kept)
-
-    # Whole-program stage: one model over every parseable in-scope file,
-    # cached as a unit — any file change dirties the call graph.
+    # Whole-program stage: one model over every parsed file.
     if project_rules:
-        pkey = project_key(hashes, tuple(r.name for r in project_rules))
-        cached = cache.get(PROJECT_KEY, pkey)
-        if cached is not None:
-            result.project_cache_hit = True
-            result.findings.extend(cached)
+        project = ProjectContext(files=list(contexts.values()))
+        for rule in project_rules:
+            raw.extend(
+                f
+                for f in rule.check_project(project)
+                if in_scope(f.path, rule.default_scopes)
+            )
+
+    for finding in raw:
+        if contexts[finding.path].suppressions.suppresses(finding):
+            result.suppressed += 1
         else:
-            files = [
-                ctx
-                for path, relpath, data in entries
-                if (ctx := get_context(path, relpath, data)) is not None
-            ]
-            project = ProjectContext(files=files, config=config)
-            raw = []
-            for rule in project_rules:
-                scope = config.scope_for(rule.name, rule.default_scopes)
-                raw.extend(
-                    f
-                    for f in rule.check_project(project)
-                    if config.in_scope(f.path, scope)
-                )
-            kept = []
-            for f in raw:
-                ctx = contexts.get(f.path)
-                if ctx is not None and ctx.suppressions.suppresses(f):
-                    result.suppressed += 1
-                else:
-                    kept.append(f)
-            kept.sort()
-            cache.put(PROJECT_KEY, pkey, kept)
-            result.findings.extend(kept)
-
-    cache.prune(live)
-    cache.save()
+            result.findings.append(finding)
     result.findings.sort()
-
-    result.fingerprints = baseline_fingerprints(active, config)
-    if use_baseline:
-        baseline, invalidated = load_baseline(
-            config.root / config.baseline, result.fingerprints
-        )
-        result.invalidated_baseline = invalidated
-        result.new_findings, result.grandfathered, result.stale_baseline = (
-            apply_baseline(result.findings, baseline)
-        )
-    else:
-        result.new_findings = list(result.findings)
     return result

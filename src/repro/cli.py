@@ -422,12 +422,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         default=None,
-        help="files or directories to check (default: configured paths)",
+        help="files or directories to check (default: src/repro tests)",
     )
     lint.add_argument(
         "--root",
         default=".",
-        help="repository root holding pyproject.toml (default: cwd)",
+        help="repository root the paths are relative to (default: cwd)",
     )
     lint.add_argument(
         "--format",
@@ -443,40 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of rule names to run (default: all)",
     )
     lint.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run only the whole-program concurrency rules "
-        "(lock-order, blocking-under-lock, thread-escape, "
-        "lock-contract, lock-discipline)",
-    )
-    lint.add_argument(
         "--sarif",
         default=None,
         metavar="PATH",
         dest="sarif_path",
         help="additionally write a SARIF 2.1.0 report to PATH",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered findings "
-        "(default: lint-baseline.json under --root)",
-    )
-    lint.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, including grandfathered ones",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-analyze every file, ignoring the result cache",
     )
     lint.add_argument(
         "--list-rules",
@@ -487,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "-v",
         "--verbose",
         action="store_true",
-        help="include suppression/stale-baseline details in text output",
+        help="list the rules that ran in the text summary",
     )
 
     return parser
@@ -1148,14 +1119,12 @@ def _cmd_trace(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import all_rules, rule_names
-    from repro.analysis.baseline import write_baseline
     from repro.analysis.framework import AnalysisError
     from repro.analysis.reporters import (
         render_json,
         render_sarif,
         render_text,
     )
-    from repro.analysis.rules.concurrency import CONCURRENCY_RULES
     from repro.analysis.runner import run_lint
 
     if args.list_rules:
@@ -1173,37 +1142,10 @@ def _cmd_lint(args) -> int:
                 f"unknown rule(s): {', '.join(unknown)}; "
                 f"available: {', '.join(rule_names())}"
             )
-    if args.concurrency:
-        concurrency = list(CONCURRENCY_RULES) + ["lock-discipline"]
-        if rules is None:
-            rules = concurrency
-        else:
-            rules = [r for r in rules if r in concurrency] or concurrency
     try:
-        result = run_lint(
-            args.root,
-            paths=args.paths or None,
-            rules=rules,
-            baseline_path=args.baseline,
-            use_baseline=not (args.no_baseline or args.write_baseline),
-            use_cache=not args.no_cache,
-        )
+        result = run_lint(args.root, paths=args.paths or None, rules=rules)
     except AnalysisError as exc:
         raise SystemExit(f"error: {exc}")
-    if args.write_baseline:
-        from pathlib import Path
-
-        baseline_path = Path(args.root) / (
-            args.baseline or result.config.baseline
-        )
-        try:
-            count = write_baseline(
-                baseline_path, result.findings, result.fingerprints
-            )
-        except AnalysisError as exc:
-            raise SystemExit(f"error: {exc}")
-        print(f"wrote {count} finding(s) to {baseline_path}")
-        return 0
     if args.sarif_path:
         from pathlib import Path
 

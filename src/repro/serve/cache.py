@@ -10,8 +10,8 @@ contact.  :meth:`invalidate_all` additionally clears eagerly for
 operators who want the memory back immediately.
 
 Thread discipline: one lock (``_lock``) guards every shared mutation;
-the serve worker and update notifiers may race.  Checked by the
-``lock-discipline`` lint rule.
+the serve worker and update notifiers may race.  Checked by
+``repro lint``'s whole-program lock analysis.
 """
 
 from __future__ import annotations

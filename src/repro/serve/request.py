@@ -9,8 +9,8 @@ instead of timing out deep in the pipeline.
 
 Thread discipline: one lock per object (``RequestQueue._lock``), held
 for every shared read-modify-write; the paired condition variable
-wraps the same lock so waiters park without busy-polling.  The
-``lock-discipline`` lint rule checks this file.
+wraps the same lock so waiters park without busy-polling.
+``repro lint``'s whole-program lock analysis checks this file.
 """
 
 from __future__ import annotations

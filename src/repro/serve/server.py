@@ -10,7 +10,7 @@ latency *gates* live on the simulator where time is deterministic.
 
 Thread discipline: worker-private state stays on the stack; the few
 shared counters are guarded by ``_lock`` (one lock per object, checked
-by the ``lock-discipline`` lint rule).
+by ``repro lint``'s whole-program lock analysis).
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.contracts import locks_required
 from repro.config import INDEX_DTYPE
 from repro.errors import DatasetError
 from repro.obs.metrics import BYTE_BUCKETS, SECONDS_BUCKETS, get_metrics
@@ -193,7 +192,6 @@ class FeatureStore:
         """High-water mark of resident + in-flight gather bytes."""
         return self._peak_resident
 
-    @locks_required("_lock")
     def _note_resident(self, transient_bytes: int) -> None:
         total = self.resident_bytes + int(transient_bytes)
         if total > self._peak_resident:

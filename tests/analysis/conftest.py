@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.config import LintConfig
 from repro.analysis.runner import run_lint
 
 
@@ -27,11 +26,6 @@ class LintProject:
         return path
 
     def lint(self, **kwargs):
-        kwargs.setdefault("use_cache", False)
-        kwargs.setdefault("use_baseline", False)
-        kwargs.setdefault(
-            "config", LintConfig(root=self.root)
-        )
         return run_lint(self.root, **kwargs)
 
 

@@ -1,17 +1,19 @@
 """Whole-program concurrency pass: seeded bugs with exact locations.
 
-Each fixture module seeds one finding family from ISSUE 9 — a
-lock-order cycle, blocking under a held lock, an unguarded
-thread-escape, and violated ``guarded-by``/``locks_required``
-contracts — and the tests pin the exact ``file:line`` the analyzer
-reports, plus the negative cases (condition-wrapped waits, guarded
-writes, textual disciplines) that must stay silent.
+Each fixture module seeds one finding family — a lock-order cycle or
+self-deadlock, blocking under a held lock, an unguarded thread-escape
+or lock-free write to a lock-protected attribute, and violated
+``guarded-by`` contracts — and the tests pin the exact ``file:line``
+the analyzer reports, plus the negative cases (condition-wrapped waits,
+guarded writes, construction-phase writes, textual disciplines) that
+must stay silent.
 """
 
 from pathlib import Path
 
-from repro.analysis.config import LintConfig
-from repro.analysis.runner import run_lint
+import pytest
+
+from repro.analysis.runner import iter_source_files, run_lint
 
 CONCURRENCY = [
     "lock-order",
@@ -153,14 +155,12 @@ class Worker:
             self._safe.append(2)
 """
 
-#: Contract vocabulary: a guarded-by write without the lock, a
-#: locks_required callee invoked lock-free, a guard naming a
-#: nonexistent lock, and the exempt cases (textual discipline, calls
-#: under the lock).
+#: Contract vocabulary: a guarded-by write without the lock, a helper
+#: whose guarded write runs lock-free because one caller does not hold
+#: the lock, a guard naming a nonexistent lock, and the exempt cases
+#: (textual discipline, helper calls and writes under the lock).
 CONTRACT = """\
 import threading
-
-from repro.analysis.contracts import locks_required
 
 
 class Counter:
@@ -182,19 +182,18 @@ class Counter:
     def note(self):
         self._log.append("x")
 
-    @locks_required("_lock")
-    def flush(self):
+    def _flush(self):
         self._n = 0
 
     def reset(self):
-        self.flush()
+        self._flush()
 
     def wipe(self):
         self._m = 3
 
     def reset_locked(self):
         with self._lock:
-            self.flush()
+            self._flush()
             self._n = 5
 """
 
@@ -310,9 +309,9 @@ class TestLockContract:
         project.write("src/repro/core/fx_contract.py", CONTRACT)
         result = _lint(project)
         assert _locs(result, "lock-contract") == [
-            ("src/repro/core/fx_contract.py", 20),
+            ("src/repro/core/fx_contract.py", 18),
+            ("src/repro/core/fx_contract.py", 24),
             ("src/repro/core/fx_contract.py", 30),
-            ("src/repro/core/fx_contract.py", 33),
         ]
         by_line = {
             f.line: f.message
@@ -320,20 +319,36 @@ class TestLockContract:
             if f.rule == "lock-contract"
         }
         # guarded-by write without the declared lock
-        assert "guarded-by: _lock" in by_line[20]
-        assert "without holding" in by_line[20]
-        # locks_required callee invoked lock-free
-        assert "locks_required" in by_line[30]
-        assert "Counter.flush" in by_line[30]
+        assert "guarded-by: _lock" in by_line[18]
+        assert "without holding" in by_line[18]
+        # reset() calls _flush() lock-free: its guarded write surfaces
+        assert "self._n" in by_line[24]
+        assert "without holding" in by_line[24]
         # guard naming a lock the class does not have
-        assert "_nope" in by_line[33]
-        assert "does not name a lock attribute" in by_line[33]
+        assert "_nope" in by_line[30]
+        assert "does not name a lock attribute" in by_line[30]
+
+    def test_guards_are_checked_without_a_thread_target(self, project):
+        # A lock-owning class no thread reaches still has its guards
+        # checked: the same three writes surface.
+        project.write(
+            "src/repro/core/fx_unspawned.py",
+            CONTRACT.replace(
+                "threading.Thread(target=self.spin).start()", "pass"
+            ),
+        )
+        result = _lint(project)
+        assert [line for _, line in _locs(result, "lock-contract")] == [
+            18,
+            24,
+            30,
+        ]
 
     def test_calls_and_writes_under_the_lock_are_clean(self, project):
-        # Keep only the compliant half: flush() invoked inside the
+        # Keep only the compliant half: _flush() invoked inside the
         # lock, guarded writes performed while holding it.
         clean = CONTRACT.replace(
-            "    def reset(self):\n        self.flush()\n\n", ""
+            "    def reset(self):\n        self._flush()\n\n", ""
         ).replace("    def wipe(self):\n        self._m = 3\n\n", "")
         clean = clean.replace(
             "    def bump(self):\n        self._n += 1",
@@ -345,17 +360,190 @@ class TestLockContract:
         assert _lint(project).findings == []
 
 
+#: The per-class lock-discipline cases, run by the whole-program pass:
+#: (id, fixture, expected (rule, line) findings, message fragment).
+LOCK_DISCIPLINE_CASES = [
+    (
+        "write_outside_lock",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.hits = 0\n"
+        "    def guarded(self):\n"
+        "        with self._lock:\n"
+        "            self.hits += 1\n"
+        "    def racy(self):\n"
+        "        self.hits += 1\n",
+        [("thread-escape", 10)],
+        "self.hits",
+    ),
+    (
+        "unguarded_container_mutation",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self._staged = []\n"
+        "    def guarded(self, x):\n"
+        "        with self._lock:\n"
+        "            self._staged.append(x)\n"
+        "    def racy(self):\n"
+        "        self._staged.clear()\n",
+        [("thread-escape", 10)],
+        "_staged",
+    ),
+    (
+        "init_writes_are_exempt",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self._hot = self._build()\n"
+        "    def _build(self):\n"
+        "        self.hits = 0\n"
+        "        return []\n"
+        "    def bump(self):\n"
+        "        with self._lock:\n"
+        "            self.hits += 1\n",
+        [],
+        "",
+    ),
+    (
+        # The FeatureStore._note_resident pattern: the private helper's
+        # every post-construction call site holds the lock (the lock-free
+        # call from __init__ runs before the object is published).
+        "helper_called_under_lock",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.peak = 0\n"
+        "        self._note(0)\n"
+        "    def _note(self, n):\n"
+        "        self.peak = max(self.peak, n)\n"
+        "    def gather(self, n):\n"
+        "        with self._lock:\n"
+        "            self._note(n)\n"
+        "    def reset(self):\n"
+        "        with self._lock:\n"
+        "            self.peak = 0\n",
+        [],
+        "",
+    ),
+    (
+        "directly_nested_reacquire",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "    def f(self):\n"
+        "        with self._lock:\n"
+        "            with self._lock:\n"
+        "                pass\n",
+        [("lock-order", 7)],
+        "self-deadlock",
+    ),
+    (
+        "rlock_reacquire_is_fine",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.RLock()\n"
+        "    def f(self):\n"
+        "        with self._lock:\n"
+        "            with self._lock:\n"
+        "                pass\n",
+        [],
+        "",
+    ),
+    (
+        # Reported where inner() re-acquires the lock outer() holds.
+        "call_that_reacquires_held_lock",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.n = 0\n"
+        "    def inner(self):\n"
+        "        with self._lock:\n"
+        "            self.n += 1\n"
+        "    def outer(self):\n"
+        "        with self._lock:\n"
+        "            self.inner()\n",
+        [("lock-order", 7)],
+        "self-deadlock",
+    ),
+    (
+        "abba_cycle",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._a = threading.Lock()\n"
+        "        self._b = threading.Lock()\n"
+        "    def ab(self):\n"
+        "        with self._a:\n"
+        "            with self._b:\n"
+        "                pass\n"
+        "    def ba(self):\n"
+        "        with self._b:\n"
+        "            with self._a:\n"
+        "                pass\n",
+        [("lock-order", 8)],
+        "potential deadlock",
+    ),
+    (
+        "consistent_order_passes",
+        "import threading\n"
+        "class Store:\n"
+        "    def __init__(self):\n"
+        "        self._a = threading.Lock()\n"
+        "        self._b = threading.Lock()\n"
+        "    def ab(self):\n"
+        "        with self._a:\n"
+        "            with self._b:\n"
+        "                pass\n"
+        "    def ab2(self):\n"
+        "        with self._a:\n"
+        "            with self._b:\n"
+        "                pass\n",
+        [],
+        "",
+    ),
+]
+
+
+class TestLockDiscipline:
+    @pytest.mark.parametrize(
+        "source,expected,fragment",
+        [case[1:] for case in LOCK_DISCIPLINE_CASES],
+        ids=[case[0] for case in LOCK_DISCIPLINE_CASES],
+    )
+    def test_case(self, project, source, expected, fragment):
+        project.write("src/repro/store/fx_lock.py", source)
+        result = _lint(project)
+        assert [(f.rule, f.line) for f in result.findings] == expected
+        assert all(fragment in f.message for f in result.findings)
+
+
 class TestRealRepo:
     def test_repo_runs_clean(self):
-        # The acceptance bar: zero unsuppressed concurrency findings
-        # over the real tree after the ISSUE 9 annotation pass.
+        # The acceptance bar: one `repro lint` over src/repro and tests,
+        # every rule, zero unsuppressed findings.
         repo_root = Path(__file__).resolve().parents[2]
-        result = run_lint(
-            repo_root,
-            paths=["src/repro"],
-            rules=CONCURRENCY,
-            config=LintConfig(root=repo_root),
-            use_baseline=False,
-            use_cache=False,
-        )
-        assert result.findings == []
+        walked = iter_source_files(repo_root)
+        assert {p.relative_to(repo_root).parts[0] for p in walked} == {
+            "src",
+            "tests",
+        }
+        result = run_lint(repo_root)
+        assert result.findings == [], [f.render() for f in result.findings]
+
+    def test_shipped_threaded_modules_are_clean(self):
+        # The serving and store modules spawn threads: the concurrency
+        # family alone must find nothing in them.
+        repo_root = Path(__file__).resolve().parents[2]
+        result = run_lint(repo_root, rules=CONCURRENCY)
+        assert result.rules == tuple(sorted(CONCURRENCY))
+        assert result.files_checked > 0
+        assert result.findings == [], [f.render() for f in result.findings]

@@ -60,7 +60,6 @@ class TestRegistry:
             "error-context",
             "hot-alloc",
             "lock-contract",
-            "lock-discipline",
             "lock-order",
             "memmap-copy",
             "metric-name",

@@ -1,20 +1,9 @@
-"""Reporter and baseline edge cases (ISSUE 9 satellites).
-
-Covers the SARIF reporter, baseline-v2 fingerprint invalidation, and
-the awkward baseline shapes: empty files, findings that moved lines,
-entries whose file was deleted, and malformed JSON that must fail with
-the offending path in the message.
-"""
+"""SARIF reporter edge cases: exact regions, clean runs, parse errors,
+and the ``--format sarif`` / ``--sarif PATH`` CLI outputs."""
 
 import json
 
-import pytest
-
-from repro.analysis.baseline import write_baseline
-from repro.analysis.config import LintConfig
-from repro.analysis.framework import AnalysisError
 from repro.analysis.reporters import SARIF_VERSION, render_sarif
-from repro.analysis.runner import run_lint
 from repro.cli import main
 
 BAD_DTYPE = (
@@ -22,102 +11,6 @@ BAD_DTYPE = (
     "def f():\n"
     "    return np.zeros(10)\n"
 )
-
-
-def _baseline_run(project):
-    project.write("src/repro/core/mod.py", BAD_DTYPE)
-    first = project.lint()
-    write_baseline(
-        project.root / "lint-baseline.json",
-        first.findings,
-        first.fingerprints,
-    )
-    return first
-
-
-class TestBaselineEdges:
-    def test_empty_baseline_file_gates_normally(self, project):
-        project.write("src/repro/core/mod.py", BAD_DTYPE)
-        (project.root / "lint-baseline.json").write_text(
-            json.dumps({"version": 2, "findings": []}), encoding="utf-8"
-        )
-        result = project.lint(use_baseline=True)
-        assert not result.ok
-        assert result.grandfathered == 0
-        assert len(result.new_findings) == 1
-
-    def test_moved_finding_is_still_grandfathered(self, project):
-        _baseline_run(project)
-        # Shift every line down: the baseline key is location-free, so
-        # the entry must keep matching.
-        project.write("src/repro/core/mod.py", "# moved\n" + BAD_DTYPE)
-        result = project.lint(use_baseline=True)
-        assert result.ok
-        assert result.grandfathered == 1
-        assert result.findings[0].line == 4
-
-    def test_deleted_file_reports_stale_entry(self, project):
-        _baseline_run(project)
-        (project.root / "src/repro/core/mod.py").unlink()
-        result = project.lint(use_baseline=True)
-        assert result.ok
-        assert result.findings == []
-        (stale,) = result.stale_baseline
-        assert stale[0] == "dtype-promotion"
-        assert stale[1] == "src/repro/core/mod.py"
-
-    def test_malformed_baseline_names_the_path(self, project):
-        project.write("src/repro/core/mod.py", BAD_DTYPE)
-        path = project.root / "lint-baseline.json"
-        path.write_text("{ not json", encoding="utf-8")
-        with pytest.raises(AnalysisError, match="lint-baseline.json"):
-            project.lint(use_baseline=True)
-
-    def test_old_version_is_rejected_with_regen_hint(self, project):
-        project.write("src/repro/core/mod.py", BAD_DTYPE)
-        (project.root / "lint-baseline.json").write_text(
-            json.dumps({"version": 1, "findings": []}), encoding="utf-8"
-        )
-        with pytest.raises(AnalysisError, match="--write-baseline"):
-            project.lint(use_baseline=True)
-
-
-class TestFingerprintInvalidation:
-    def test_tampered_fingerprint_resurfaces_the_finding(self, project):
-        _baseline_run(project)
-        path = project.root / "lint-baseline.json"
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["findings"][0]["fingerprint"] = "0" * 64
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        result = project.lint(use_baseline=True)
-        assert not result.ok
-        assert result.grandfathered == 0
-        assert len(result.new_findings) == 1
-        (key,) = result.invalidated_baseline
-        assert key[0] == "dtype-promotion"
-
-    def test_config_change_invalidates_entries(self, project):
-        _baseline_run(project)
-        # Any semantic config change (here: a scope override) shifts
-        # every rule fingerprint, so the old entries stop matching.
-        result = run_lint(
-            project.root,
-            config=LintConfig(
-                root=project.root,
-                scopes={"lock-discipline": ("src/repro", "tests")},
-            ),
-            use_baseline=True,
-            use_cache=False,
-        )
-        assert not result.ok
-        assert result.invalidated_baseline
-
-    def test_fingerprints_are_stable_across_runs(self, project):
-        project.write("src/repro/core/mod.py", BAD_DTYPE)
-        first = project.lint()
-        second = project.lint()
-        assert first.fingerprints == second.fingerprints
-        assert all(len(v) == 64 for v in first.fingerprints.values())
 
 
 class TestSarifReporter:
@@ -149,12 +42,6 @@ class TestSarifReporter:
         assert run["results"] == []
         assert run["tool"]["driver"]["rules"]  # registry still described
 
-    def test_grandfathered_findings_are_not_sarif_results(self, project):
-        _baseline_run(project)
-        result = project.lint(use_baseline=True)
-        doc = json.loads(render_sarif(result))
-        assert doc["runs"][0]["results"] == []
-
     def test_parse_error_finding_renders_without_registry_entry(
         self, project
     ):
@@ -172,7 +59,6 @@ class TestSarifCli:
                 "lint",
                 "--root",
                 str(project.root),
-                "--no-cache",
                 "--format",
                 "sarif",
             ]
@@ -192,7 +78,6 @@ class TestSarifCli:
                 "lint",
                 "--root",
                 str(project.root),
-                "--no-cache",
                 "--sarif",
                 str(sarif_path),
             ]
@@ -202,21 +87,3 @@ class TestSarifCli:
         assert doc["runs"][0]["results"]
         # The text report still goes to stdout alongside the file.
         assert "dtype-promotion" in capsys.readouterr().out
-
-    def test_concurrency_flag_selects_the_family(self, project, capsys):
-        project.write(
-            "src/repro/core/mod.py",
-            # A dtype finding the concurrency scope must NOT report.
-            BAD_DTYPE,
-        )
-        code = main(
-            [
-                "lint",
-                "--root",
-                str(project.root),
-                "--no-cache",
-                "--concurrency",
-            ]
-        )
-        assert code == 0
-        assert "0 finding(s)" in capsys.readouterr().out

@@ -1,15 +1,9 @@
-"""End-to-end runner behavior: caching, baseline, reporters, CLI."""
+"""End-to-end runner behavior: file walk, reporters, CLI."""
 
 import json
 
 import pytest
 
-from repro.analysis.baseline import (
-    NEVER_BASELINE,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.config import LintConfig
 from repro.analysis.framework import AnalysisError
 from repro.analysis.reporters import REPORT_VERSION, render_json, render_text
 from repro.analysis.runner import run_lint
@@ -24,197 +18,22 @@ BAD_DTYPE = (
 CLEAN = "X = 1\n"
 
 
-class TestCache:
-    def test_second_run_is_served_from_cache(self, project):
+class TestFileWalk:
+    def test_default_paths_are_src_repro_and_tests(self, project):
         project.write("src/repro/core/mod.py", BAD_DTYPE)
-        config = LintConfig(root=project.root)
-        first = run_lint(
-            project.root, config=config, use_baseline=False, use_cache=True
-        )
-        assert first.cache_hits == 0
-        assert len(first.findings) == 1
-        second = run_lint(
-            project.root,
-            config=LintConfig(root=project.root),
-            use_baseline=False,
-            use_cache=True,
-        )
-        assert second.cache_hits == 1
-        assert second.findings == first.findings
+        project.write("tests/test_mod.py", CLEAN)
+        project.write("docs/conf.py", BAD_DTYPE)
+        result = run_lint(project.root)
+        assert result.files_checked == 2
+        assert [f.path for f in result.findings] == ["src/repro/core/mod.py"]
 
-    def test_edit_invalidates_cache_entry(self, project):
-        path = project.write("src/repro/core/mod.py", BAD_DTYPE)
-        run_lint(
-            project.root,
-            config=LintConfig(root=project.root),
-            use_baseline=False,
-            use_cache=True,
-        )
-        path.write_text(CLEAN, encoding="utf-8")
-        result = run_lint(
-            project.root,
-            config=LintConfig(root=project.root),
-            use_baseline=False,
-            use_cache=True,
-        )
-        assert result.cache_hits == 0
-        assert result.findings == []
-
-    def test_import_dep_change_invalidates_importer(self, project):
-        project.write("src/repro/core/helper.py", "THRESHOLD = 1\n")
-        project.write(
-            "src/repro/core/mod.py",
-            "from repro.core.helper import THRESHOLD\nX = THRESHOLD\n",
-        )
-        kwargs = dict(use_baseline=False, use_cache=True)
-        run_lint(project.root, config=LintConfig(root=project.root), **kwargs)
-        warm = run_lint(
-            project.root, config=LintConfig(root=project.root), **kwargs
-        )
-        assert warm.cache_hits == 2
-        # Edit the imported module only: the importer's own bytes are
-        # unchanged, but its cached result must be invalidated too.
-        project.write("src/repro/core/helper.py", "THRESHOLD = 2\n")
-        third = run_lint(
-            project.root, config=LintConfig(root=project.root), **kwargs
-        )
-        assert third.cache_hits == 0
-
-    def test_unrelated_change_keeps_importer_cached(self, project):
-        project.write("src/repro/core/helper.py", "THRESHOLD = 1\n")
-        project.write(
-            "src/repro/core/mod.py",
-            "from repro.core.helper import THRESHOLD\nX = THRESHOLD\n",
-        )
-        project.write("src/repro/core/other.py", "Y = 1\n")
-        kwargs = dict(use_baseline=False, use_cache=True)
-        run_lint(project.root, config=LintConfig(root=project.root), **kwargs)
-        project.write("src/repro/core/other.py", "Y = 2\n")
-        result = run_lint(
-            project.root, config=LintConfig(root=project.root), **kwargs
-        )
-        assert result.cache_hits == 2  # helper + mod, not other
-
-    def test_project_pass_reruns_when_any_file_changes(self, project):
+    def test_missing_default_root_is_skipped(self, project):
         project.write("src/repro/core/mod.py", CLEAN)
-        project.write("src/repro/core/other.py", "Y = 1\n")
-        kwargs = dict(use_baseline=False, use_cache=True)
-        first = run_lint(
-            project.root, config=LintConfig(root=project.root), **kwargs
-        )
-        assert first.project_cache_hit is False
-        warm = run_lint(
-            project.root, config=LintConfig(root=project.root), **kwargs
-        )
-        assert warm.project_cache_hit is True
-        # The whole-program pass keys on every in-scope file: touching
-        # any one of them dirties the call graph.
-        project.write("src/repro/core/other.py", "Y = 2\n")
-        third = run_lint(
-            project.root, config=LintConfig(root=project.root), **kwargs
-        )
-        assert third.project_cache_hit is False
+        assert run_lint(project.root).files_checked == 1
 
-    def test_corrupt_cache_is_discarded(self, project):
-        project.write("src/repro/core/mod.py", CLEAN)
-        (project.root / ".repro-lint-cache.json").write_text(
-            "{ not json", encoding="utf-8"
-        )
-        result = run_lint(
-            project.root,
-            config=LintConfig(root=project.root),
-            use_baseline=False,
-            use_cache=True,
-        )
-        assert result.findings == []
-
-
-class TestBaseline:
-    def test_grandfathered_findings_pass_the_gate(self, project):
-        project.write("src/repro/core/mod.py", BAD_DTYPE)
-        config = LintConfig(root=project.root)
-        first = run_lint(
-            project.root, config=config, use_baseline=False, use_cache=False
-        )
-        write_baseline(
-            project.root / config.baseline,
-            first.findings,
-            first.fingerprints,
-        )
-        second = run_lint(
-            project.root,
-            config=LintConfig(root=project.root),
-            use_baseline=True,
-            use_cache=False,
-        )
-        assert second.ok
-        assert second.grandfathered == 1
-        assert second.new_findings == []
-        assert second.findings == first.findings  # still visible
-
-    def test_fixed_finding_reports_stale_entry(self, project):
-        path = project.write("src/repro/core/mod.py", BAD_DTYPE)
-        config = LintConfig(root=project.root)
-        first = run_lint(
-            project.root, config=config, use_baseline=False, use_cache=False
-        )
-        write_baseline(
-            project.root / config.baseline,
-            first.findings,
-            first.fingerprints,
-        )
-        path.write_text(CLEAN, encoding="utf-8")
-        second = run_lint(
-            project.root,
-            config=LintConfig(root=project.root),
-            use_baseline=True,
-            use_cache=False,
-        )
-        assert second.ok
-        assert len(second.stale_baseline) == 1
-        assert second.stale_baseline[0][0] == "dtype-promotion"
-
-    def test_never_baseline_rules_are_refused_on_write(self, project):
-        project.write(
-            "src/repro/core/mod.py",
-            "from repro.obs.trace import get_tracer\n"
-            "def f():\n"
-            "    s = get_tracer().span('x')\n"
-            "    return s\n",
-        )
-        result = project.lint(rules=["span-leak"])
-        assert result.findings
-        with pytest.raises(AnalysisError, match="span-leak"):
-            write_baseline(
-                project.root / "b.json", result.findings, result.fingerprints
-            )
-
-    def test_never_baseline_rules_are_refused_on_load(self, project):
-        bad = {
-            "version": 2,
-            "findings": [
-                {
-                    "rule": "no-nondeterminism",
-                    "path": "x.py",
-                    "message": "m",
-                    "count": 1,
-                    "fingerprint": "abc",
-                }
-            ],
-        }
-        path = project.root / "b.json"
-        path.write_text(json.dumps(bad), encoding="utf-8")
-        with pytest.raises(AnalysisError, match="no-nondeterminism"):
-            load_baseline(path, {})
-
-    def test_shipped_baseline_is_empty_for_critical_rules(self):
-        # The acceptance bar: the committed baseline grandfathers
-        # nothing from the never-baseline rules (and is in fact empty).
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parents[2]
-        baseline, _ = load_baseline(repo_root / "lint-baseline.json", {})
-        assert not any(key[0] in NEVER_BASELINE for key in baseline)
+    def test_missing_explicit_path_is_an_error(self, project):
+        with pytest.raises(AnalysisError, match="does not exist"):
+            run_lint(project.root, paths=["src/nope"])
 
 
 class TestReporters:
@@ -238,17 +57,12 @@ class TestReporters:
             "ok",
             "rules",
             "files_checked",
-            "cache_hits",
             "suppressed",
-            "grandfathered",
-            "stale_baseline",
             "findings",
-            "all_findings",
         }
         (finding,) = doc["findings"]
         assert set(finding) == {"path", "line", "col", "rule", "message"}
         assert finding["rule"] == "dtype-promotion"
-        assert doc["all_findings"] == doc["findings"]
 
     def test_parse_error_becomes_a_finding(self, project):
         project.write("src/repro/core/broken.py", "def f(:\n")
@@ -256,33 +70,16 @@ class TestReporters:
         assert [f.rule for f in result.findings] == ["parse-error"]
 
 
-class TestScopeConfig:
-    def test_pyproject_scope_override_widens_a_rule(self, project):
-        project.write("src/repro/bench/mod.py", BAD_DTYPE)
-        config = LintConfig(
-            root=project.root,
-            scopes={"dtype-promotion": ("src/repro/bench",)},
-        )
-        result = run_lint(
-            project.root,
-            rules=["dtype-promotion"],
-            config=config,
-            use_baseline=False,
-            use_cache=False,
-        )
-        assert len(result.findings) == 1
-
-
 class TestCli:
     def test_exit_zero_on_clean_tree(self, project, capsys):
         project.write("src/repro/core/mod.py", CLEAN)
-        code = main(["lint", "--root", str(project.root), "--no-cache"])
+        code = main(["lint", "--root", str(project.root)])
         assert code == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_exit_one_on_new_finding(self, project, capsys):
         project.write("src/repro/core/mod.py", BAD_DTYPE)
-        code = main(["lint", "--root", str(project.root), "--no-cache"])
+        code = main(["lint", "--root", str(project.root)])
         assert code == 1
         out = capsys.readouterr().out
         assert "dtype-promotion" in out
@@ -294,7 +91,6 @@ class TestCli:
                 "lint",
                 "--root",
                 str(project.root),
-                "--no-cache",
                 "--format",
                 "json",
             ]
@@ -310,7 +106,6 @@ class TestCli:
                 "lint",
                 "--root",
                 str(project.root),
-                "--no-cache",
                 "--rules",
                 "span-leak",
             ]
@@ -319,18 +114,8 @@ class TestCli:
         with pytest.raises(SystemExit, match="unknown rule"):
             main(["lint", "--root", str(project.root), "--rules", "nope"])
 
-    def test_write_baseline_then_gate_passes(self, project, capsys):
-        project.write("src/repro/core/mod.py", BAD_DTYPE)
-        root = str(project.root)
-        assert (
-            main(["lint", "--root", root, "--no-cache", "--write-baseline"])
-            == 0
-        )
-        assert (project.root / "lint-baseline.json").is_file()
-        assert main(["lint", "--root", root, "--no-cache"]) == 0
-
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "lock-discipline" in out
+        assert "lock-order" in out
         assert "invariant" in out
