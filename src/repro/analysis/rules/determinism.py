@@ -1,12 +1,12 @@
 """``no-nondeterminism``: parity-critical code must be bit-reproducible.
 
-Algorithm 2 parity (pipelined == sequential == full-batch, enforced by
-``tests/pipeline/test_parity.py``) only holds if every compute path is
-a pure function of the seed.  Wall-clock reads, the stdlib ``random``
-module (process-global state), numpy's legacy global RNG
+Algorithm 2 parity (``BuffaloTrainer`` == bare recipe == full-batch,
+enforced by ``tests/core/test_parity.py``) only holds if every compute
+path is a pure function of the seed.  Wall-clock reads, the stdlib
+``random`` module (process-global state), numpy's legacy global RNG
 (``np.random.rand`` & friends), and unseeded ``default_rng()`` all
 smuggle ambient state into the math, so they are banned in the
-parity-critical packages (``core/``, ``gnn/``, ``pipeline/``, ``nn/``).
+parity-critical packages (``core/``, ``gnn/``, ``nn/``).
 Seeded generators (``rng_from(seed)`` / ``default_rng(seed)``) and
 ``time.perf_counter`` (telemetry-only durations) remain fine.
 """
@@ -42,13 +42,12 @@ class NoNondeterminismRule(LintRule):
         "unseeded default_rng() in parity-critical modules"
     )
     invariant = (
-        "Algorithm 2 parity: micro-batched/pipelined training is "
+        "Algorithm 2 parity: micro-batched training is "
         "bit-for-bit identical to full-batch for the same seed"
     )
     default_scopes = (
         "src/repro/core",
         "src/repro/gnn",
-        "src/repro/pipeline",
         "src/repro/nn",
     )
 

@@ -64,7 +64,6 @@ class DtypePromotionRule(LintRule):
     default_scopes = (
         "src/repro/core",
         "src/repro/gnn",
-        "src/repro/pipeline",
         "src/repro/nn",
         "src/repro/store",
         "src/repro/tensor",

@@ -13,9 +13,7 @@ is halo-bandwidth-bound at this workload's compute/traffic ratio)
 under a constraint budgeted for ~``target_k`` groups (so K >= N and no
 regrouping is needed — every fleet size executes the *same* schedule).
 Reported per fleet size: simulated iteration time, speedup over N=1,
-halo-exchange vs all-reduce traffic, and the analytic fleet makespan of
-the measured stage timings (host preparation serial, per-device
-compute streams).
+and halo-exchange vs all-reduce traffic.
 
 Shape checks: the loss is **bit-for-bit identical** at every N (the
 gradient-parity invariant extends to the fleet), N=2 shows sim-time
@@ -32,7 +30,6 @@ from repro.core.api import BuffaloTrainer
 from repro.device.costmodel import NVLINK_A100
 from repro.device.device import SimulatedGPU
 from repro.device.fleet import DeviceFleet
-from repro.pipeline.model import fleet_makespan
 
 
 def run(
@@ -85,7 +82,6 @@ def run(
     }
     for n, it in results.items():
         speedup = base.sim_time_s / it.sim_time_s
-        makespan = fleet_makespan(it.pipeline.timings, it.assignments)
         rows.append(
             [
                 f"N={n}",
@@ -104,7 +100,6 @@ def run(
             "allreduce_bytes": float(it.allreduce_bytes),
             "halo_exchange_s": it.halo_exchange_s,
             "allreduce_s": it.comm_time_s,
-            "makespan_s": makespan,
             "worst_device_peak_bytes": float(max(it.per_device_peaks)),
         }
 

@@ -10,8 +10,8 @@ Wires the full online pipeline of Fig. 6 for one training iteration:
    ``split`` placement policy; trivial on one device);
 5. per group, in schedule order: materialize the micro-batch (fast
    block generation), gather its input rows, and train it with gradient
-   accumulation (Algorithm 2) — the engine's one in-line loop — then
-   reduce once and step every replica.
+   accumulation (Algorithm 2) — :func:`~repro.core.trainer.train_groups`,
+   the one iteration loop — then reduce once and step every replica.
 
 All phases are profiled with the Fig. 11 phase names.
 """
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fastblock import generate_blocks_fast
-from repro.core.microbatch import MicroBatch
 from repro.core.scheduler import BuffaloScheduler, SchedulePlan
 from repro.core.split_parallel import (
     ShardStager,
@@ -33,7 +32,7 @@ from repro.core.split_parallel import (
     partition_nodes,
     plan_placement,
 )
-from repro.core.trainer import MicroBatchTrainer, TrainResult
+from repro.core.trainer import MicroBatchTrainer, TrainResult, train_groups
 from repro.datasets.catalog import Dataset
 from repro.device.device import SimulatedGPU
 from repro.device.fleet import DeviceFleet
@@ -47,13 +46,12 @@ from repro.gnn.footprint import ModelSpec, input_feature_bytes
 from repro.gnn.gat import GAT
 from repro.gnn.gcn import GCN
 from repro.gnn.sage import GraphSAGE
-from repro.graph.sampling import SampledBatch, sample_batch
+from repro.graph.sampling import sample_batch
 from repro.kernels.dispatch import use_kernel_backend
 from repro.nn.optim import Adam
 from repro.obs.estimator import EstimatorTelemetry
 from repro.obs.metrics import BYTE_BUCKETS, SMALL_COUNT_BUCKETS, get_metrics
 from repro.obs.trace import get_tracer
-from repro.pipeline.engine import PipelineEngine, PipelineReport
 from repro.store import FeatureStore
 
 
@@ -96,7 +94,6 @@ class IterationReport:
             the phase profiler.
         plan: the executed schedule (regrouped to K >= N by the
             ``split`` policy when Algorithm 3 returned fewer groups).
-        pipeline: per-micro-batch stage timings of the engine.
         assignments: device index of each bucket group, schedule order.
         per_device_peaks: worst micro-batch peak on each device.
         sim_time_s: the fleet clock after this iteration (slowest
@@ -112,9 +109,6 @@ class IterationReport:
 
     result: TrainResult
     plan: SchedulePlan
-    micro_batches: list[MicroBatch]
-    batch: SampledBatch
-    pipeline: PipelineReport
     assignments: list[int]
     per_device_peaks: list[int]
     sim_time_s: float
@@ -245,7 +239,6 @@ class BuffaloTrainer:
         first = self.trainers[0]
         self.model = first.model
         self.optimizer = first.optimizer
-        self.engine = PipelineEngine(self.trainers)
         self.owner: np.ndarray | None = None
         if parallel == "split":
             # Per-device staging price: shard reads + halo exchange in
@@ -376,7 +369,7 @@ class BuffaloTrainer:
         """One full online-training iteration (Fig. 6 pipeline).
 
         Plan (sample -> blocks -> schedule -> place), execute the groups
-        in schedule order through the engine — each on its
+        in schedule order through the one iteration loop — each on its
         assigned device's replica, all recording into one shared
         schedule-order gradient reduction that every replica installs
         before stepping — then price one gradient all-reduce on the
@@ -424,15 +417,15 @@ class BuffaloTrainer:
                 exchange_before = fleet.exchange_time_s
                 allreduce_before = fleet.allreduce_bytes
                 try:
-                    result, micro_batches, pipeline_report = (
-                        self.engine.run(
-                            self.dataset,
-                            batch,
-                            plan,
-                            cutoffs,
-                            assignments=assignments,
-                            profiler=profiler,
-                        )
+                    result = train_groups(
+                        self.trainers,
+                        self.dataset,
+                        batch.node_map,
+                        plan.groups,
+                        cutoffs,
+                        profiler,
+                        batch=batch,
+                        assignments=assignments,
                     )
                 except DeviceOutOfMemoryError as exc:
                     if attempt == max_oom_retries:
@@ -476,9 +469,6 @@ class BuffaloTrainer:
             report = IterationReport(
                 result=result,
                 plan=plan,
-                micro_batches=micro_batches,
-                batch=batch,
-                pipeline=pipeline_report,
                 assignments=assignments,
                 per_device_peaks=per_device_peaks,
                 sim_time_s=fleet.sim_time_s,

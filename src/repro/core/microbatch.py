@@ -61,7 +61,7 @@ def materialize_micro_batch(
 
     The parent batch's seeds occupy locals ``0..n_seeds``, so a group's
     output rows are directly the local seed ids to expand from.  This is
-    the unit of work the pipelined engine's block-generation stage runs;
+    the unit of work the iteration loop's block-generation step runs;
     :func:`generate_micro_batches` is the eager all-groups wrapper.
     """
     rows = group.rows  # sorted ascending

@@ -11,21 +11,25 @@ profiler; data loading and GPU compute advance the simulated device
 clock via the analytic cost model, while the device's allocation ledger
 observes the real activation bytes of the numpy execution.
 
-The iteration is decomposed into ``begin_iteration`` /
-``train_micro_batch`` / ``finish_iteration`` so that the iteration loop
-in :mod:`repro.pipeline.engine` — which materializes and stages one
-group at a time and may dispatch groups to different replicas — replays
-exactly the same operations in exactly the same order as
-:meth:`MicroBatchTrainer.train_iteration`, keeping gradient
-accumulation bit-for-bit identical.
+:func:`train_groups` is the one iteration loop: per group, in schedule
+order on the caller thread, it materializes the group's micro-batch
+(when given the sampled batch), trains it on the replica the placement
+assigned it to (``train_micro_batch``), and records every contribution
+into one shared :class:`GradientContributions`; it then reduces once
+and steps every replica (``begin_iteration`` / ``finish_iteration``
+bracket it).  :meth:`MicroBatchTrainer.train_iteration` runs it on
+``[self]`` and :meth:`repro.core.api.BuffaloTrainer.run_iteration` on
+its replicas, so both are bit-for-bit the same accumulation.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.microbatch import materialize_micro_batch
 from repro.core.split_parallel import ShardStager
 from repro.datasets.catalog import Dataset
 from repro.device.device import SimulatedGPU
@@ -38,6 +42,7 @@ from repro.gnn.footprint import (
     training_dram_bytes,
     training_flops,
 )
+from repro.graph.sampling import SampledBatch
 from repro.kernels.dispatch import resolve_backend, use_kernel_backend
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
@@ -62,9 +67,10 @@ class GradientContributions:
     which micro-batch — the invariant the differential parity suite
     (``tests/core/test_split_parallel_parity.py``) pins.
 
-    Contributions are host-side copies (not device-tracked); the reduced
-    arrays are re-registered with the parameter's device by
-    :meth:`apply` so gradient buffers stay visible to the ledger.
+    Contributions are host-side copies (not device-tracked); each
+    replica's :meth:`MicroBatchTrainer.finish_iteration` installs its own
+    copy of the reduction, tracked on the replica's device, so gradient
+    buffers stay visible to the ledger.
     """
 
     def __init__(self) -> None:
@@ -84,10 +90,6 @@ class GradientContributions:
             for p in parameters
         ]
         self._loss_by_index[index] = float(loss_value)
-
-    @property
-    def n_recorded(self) -> int:
-        return len(self._by_index)
 
     def reduced(self) -> list[np.ndarray | None]:
         """Sum contributions in schedule order (None where none exist)."""
@@ -113,23 +115,6 @@ class GradientContributions:
         for index in sorted(self._loss_by_index):
             total += self._loss_by_index[index]
         return total
-
-    def apply(self, parameters, reduced=None) -> None:
-        """Install the reduced gradients onto ``parameters``.
-
-        ``reduced`` lets multiple replicas share one reduction; each
-        call installs fresh copies so replicas never alias buffers.
-        Gradient arrays are tracked on the parameter's device (they are
-        part of real training's memory peak).
-        """
-        grads = self.reduced() if reduced is None else reduced
-        for p, grad in zip(parameters, grads):
-            if grad is None:
-                p.grad = None
-                continue
-            p.grad = grad if reduced is None else grad.copy()
-            if p.device is not None:
-                p.device.track(p.grad)
 
 
 @dataclass
@@ -214,19 +199,15 @@ class MicroBatchTrainer:
         node_map: np.ndarray,
         block: Block,
         profiler: Profiler,
-        staged: np.ndarray | None = None,
     ) -> Tensor:
-        """Place the input features on device.
+        """Gather the input rows on the host and place them on device.
 
-        ``staged`` supplies the host-side feature array the engine's
-        staging step already gathered; when absent the gather runs
-        here.  Either way the simulated transfer is charged here, so
-        the device clock and ledger advance in schedule order.
+        The only host-side feature gather of training; the simulated
+        transfer is charged here too, so the device clock and ledger
+        advance in schedule order.
         """
         global_nodes = node_map[block.src_nodes]
-        features = (
-            staged if staged is not None else dataset.features[global_nodes]
-        )
+        features = dataset.features[global_nodes]
         if self.device is not None:
             if self.stager is not None:
                 duration = self.stager.stage(global_nodes)
@@ -263,7 +244,6 @@ class MicroBatchTrainer:
         profiler: Profiler,
         *,
         index: int = 0,
-        staged_features: np.ndarray | None = None,
     ) -> tuple[float, int | None]:
         """Forward + backward one micro-batch, accumulating gradients.
 
@@ -292,7 +272,7 @@ class MicroBatchTrainer:
             },
         ) as mb_span:
             input_feats = self._load_features(
-                dataset, node_map, mb.blocks[0], profiler, staged_features
+                dataset, node_map, mb.blocks[0], profiler
             )
             # One micro-batch = one bucket group: the kernel backend's
             # workspace arena lives across the whole forward+backward
@@ -337,28 +317,31 @@ class MicroBatchTrainer:
 
     def finish_iteration(
         self,
-        loss_sum: float,
+        reduced: list[np.ndarray | None],
         micro_batch_peaks: list[int],
         n_micro_batches: int,
         profiler: Profiler,
-        *,
-        reduced: list | None = None,
     ) -> TrainResult:
         """One optimizer step over the schedule-order-reduced gradients.
 
-        ``reduced`` is a reduction already computed from the (shared)
-        contributions; each replica installs its own copy of it.
+        ``reduced`` is :meth:`GradientContributions.reduced` of the
+        (shared) contributions; each replica installs its own copies,
+        tracked on its device (they are part of real training's memory
+        peak), so replicas never alias buffers.
         """
-        if self._contributions.n_recorded:
-            self._contributions.apply(self.model.parameters(), reduced)
+        for p, grad in zip(self.model.parameters(), reduced):
+            p.grad = None if grad is None else grad.copy()
+            if p.grad is not None and p.device is not None:
+                p.device.track(p.grad)
         with profiler.phase("optimizer_step"):
             self.optimizer.step()
 
-        if not np.isfinite(loss_sum):
-            raise ConvergenceError(f"non-finite loss: {loss_sum}")
+        loss = self._contributions.reduced_loss()
+        if not np.isfinite(loss):
+            raise ConvergenceError(f"non-finite loss: {loss}")
 
         return TrainResult(
-            loss=float(loss_sum),
+            loss=loss,
             peak_bytes=max(micro_batch_peaks, default=0),
             n_micro_batches=n_micro_batches,
             micro_batch_peaks=micro_batch_peaks,
@@ -381,34 +364,76 @@ class MicroBatchTrainer:
             dataset: supplies features and labels (host side).
             node_map: batch-local -> dataset-global node ids.
             micro_batches: :class:`~repro.core.microbatch.MicroBatch`
-                list (or any objects with ``blocks`` and ``seed_rows``).
+                list (or any objects with ``blocks``, ``seed_rows`` and
+                ``n_output``).
             cutoffs: per-layer bucketing cut-offs aligned with blocks
                 (input-most first).
             profiler: phase accumulator (created when omitted).
         """
-        profiler = profiler or Profiler()
-        total_outputs = sum(mb.n_output for mb in micro_batches)
-        if total_outputs == 0:
-            raise ConvergenceError("no output nodes to train on")
-
-        self.begin_iteration()
-
-        loss_sum = 0.0
-        micro_batch_peaks: list[int] = []
-        for index, mb in enumerate(micro_batches):
-            loss_value, peak = self.train_micro_batch(
-                dataset,
-                node_map,
-                mb,
-                cutoffs,
-                total_outputs,
-                profiler,
-                index=index,
-            )
-            loss_sum += loss_value
-            if peak is not None:
-                micro_batch_peaks.append(peak)
-
-        return self.finish_iteration(
-            loss_sum, micro_batch_peaks, len(micro_batches), profiler
+        return train_groups(
+            [self],
+            dataset,
+            node_map,
+            micro_batches,
+            cutoffs,
+            profiler or Profiler(),
         )
+
+
+def train_groups(
+    trainers: list[MicroBatchTrainer],
+    dataset: Dataset,
+    node_map: np.ndarray,
+    groups: Sequence,
+    cutoffs: list[int],
+    profiler: Profiler,
+    *,
+    batch: SampledBatch | None = None,
+    assignments: list[int] | None = None,
+) -> TrainResult:
+    """The one iteration loop (Algorithm 2) over a fleet of replicas.
+
+    With ``batch``, ``groups`` are the schedule's bucket groups and each
+    is materialized into its micro-batch (fast block generation, under
+    the ``block_generation`` phase) right before it trains; nothing
+    keeps the micro-batches, so none outlives the call.  Without,
+    ``groups`` are ready micro-batches.  ``assignments[i]`` is
+    the replica that trains group ``i`` (all on replica 0 when omitted).
+
+    Groups run in schedule order whatever their placement, every
+    replica records into one shared :class:`GradientContributions`, and
+    every replica installs the same schedule-order reduction before its
+    optimizer step — so the result is bit-for-bit the single-device one.
+    Returns replica 0's :class:`TrainResult` (per-micro-batch peaks in
+    schedule order).
+    """
+    total_outputs = sum(group.n_output for group in groups)
+    if total_outputs == 0:
+        raise ConvergenceError("no output nodes to train on")
+    contributions = GradientContributions()
+    for trainer in trainers:
+        trainer.begin_iteration(contributions)
+    peaks: list[int] = []
+    for index, group in enumerate(groups):
+        mb = group
+        if batch is not None:
+            with profiler.phase("block_generation", {"index": index}):
+                mb = materialize_micro_batch(batch, group)
+        trainer = trainers[0 if assignments is None else assignments[index]]
+        _, peak = trainer.train_micro_batch(
+            dataset,
+            node_map,
+            mb,
+            cutoffs,
+            total_outputs,
+            profiler,
+            index=index,
+        )
+        if peak is not None:
+            peaks.append(peak)
+    reduced = contributions.reduced()
+    results = [
+        trainer.finish_iteration(reduced, peaks, len(groups), profiler)
+        for trainer in trainers
+    ]
+    return results[0]

@@ -19,10 +19,10 @@ Lifetime contract (see docs/kernels.md):
   publishes ``buffalo.kernel.*`` metrics; buffers deliberately survive
   the boundary so the next micro-batch of the group reuses them.
 
-The arena is *not* thread-safe.  That is by design: pipeline staging
-threads only gather features, kernels always run on the compute thread
-(the bit-for-bit parity invariant of :mod:`repro.pipeline.engine`), so
-a per-backend arena never sees concurrent requests.
+The arena is *not* thread-safe.  That is by design: training starts no
+thread and kernels run on the caller thread of the one iteration loop
+(:func:`repro.core.trainer.train_groups`), so a per-backend arena never
+sees concurrent requests.
 """
 
 from __future__ import annotations

@@ -522,9 +522,6 @@ class RunRecorder:
             "buffalo.iteration",
             "train.epoch",
             "train.micro_batch",
-            "pipeline.block_gen",
-            "pipeline.stage_features",
-            "pipeline.compute",
         }
     )
 

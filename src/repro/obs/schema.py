@@ -43,9 +43,6 @@ METRIC_NAMES = frozenset(
         "buffalo.estimator_rel_error",
         "buffalo.estimator_predicted_bytes",
         "buffalo.estimator_actual_bytes",
-        # the iteration loop (pipeline/engine.py)
-        "buffalo.pipeline.staging_s",
-        "buffalo.pipeline.iterations",
         # kernel layer (kernels/workspace.py, kernels/fused.py)
         "buffalo.kernel.workspace_bytes",
         "buffalo.kernel.workspace_peak_bytes",

@@ -1,10 +1,11 @@
-"""Algorithm 2 parity: engine == ``train_iteration`` == full batch.
+"""Algorithm 2 parity: ``BuffaloTrainer`` == ``train_iteration`` == full batch.
 
 The paper's correctness claim (§IV-B) for the one iteration loop: a
-:class:`BuffaloTrainer` iteration (plan, then the in-line engine) must
-produce exactly the updates of the bare sequential recipe — sample,
-schedule, ``generate_micro_batches``, ``train_iteration`` — and both
-must match one full-batch step up to accumulation-order round-off.
+:class:`BuffaloTrainer` iteration (plan, then the loop materializing
+each group as it goes) must produce exactly the updates of the bare
+sequential recipe — sample, schedule, ``generate_micro_batches``,
+``train_iteration`` — and both must match one full-batch step up to
+accumulation-order round-off.
 """
 
 import numpy as np
@@ -76,7 +77,7 @@ def _losses(trainer, seeds):
 
 @pytest.fixture(scope="module")
 def reference(dataset, spec, constraint, seeds):
-    """The bare recipe, no engine: ``(losses, final weights)``."""
+    """The bare recipe, micro-batches built up front: ``(losses, weights)``."""
     model = build_model(spec, rng=0)
     trainer = MicroBatchTrainer(
         model,
@@ -103,22 +104,22 @@ def reference(dataset, spec, constraint, seeds):
 
 
 @pytest.fixture(scope="module")
-def engine_run(dataset, spec, constraint, seeds):
+def trainer_run(dataset, spec, constraint, seeds):
     """The same iterations through ``BuffaloTrainer``."""
     trainer = _make(dataset, spec, constraint)
     return _losses(trainer, seeds), trainer.model.state_dict()
 
 
 class TestParity:
-    def test_exact_loss_parity(self, reference, engine_run):
-        assert engine_run[0] == reference[0]  # exact float equality
+    def test_exact_loss_parity(self, reference, trainer_run):
+        assert trainer_run[0] == reference[0]  # exact float equality
 
-    def test_exact_weight_parity(self, reference, engine_run):
+    def test_exact_weight_parity(self, reference, trainer_run):
         for key, value in reference[1].items():
-            np.testing.assert_array_equal(engine_run[1][key], value)
+            np.testing.assert_array_equal(trainer_run[1][key], value)
 
     def test_matches_full_batch_step(
-        self, dataset, spec, seeds, engine_run
+        self, dataset, spec, seeds, trainer_run
     ):
         # One unconstrained trainer runs the whole batch as a single
         # micro-batch; accumulation order differs, so tolerance applies.
@@ -126,12 +127,10 @@ class TestParity:
         full_losses = _losses(full, seeds)
         assert full.run_iteration(seeds).plan.k == 1
         np.testing.assert_allclose(
-            full_losses, engine_run[0], rtol=1e-4, atol=1e-6
+            full_losses, trainer_run[0], rtol=1e-4, atol=1e-6
         )
 
-    def test_pipeline_report_attached(
-        self, dataset, spec, constraint, seeds
-    ):
+    def test_one_peak_per_group(self, dataset, spec, constraint, seeds):
         report = _make(dataset, spec, constraint).run_iteration(seeds)
         assert report.plan.k >= 2
-        assert len(report.pipeline.timings) == report.plan.k
+        assert len(report.result.micro_batch_peaks) == report.plan.k

@@ -289,7 +289,6 @@ class TestIterationReport:
             assert report.sim_time_s > 0
             assert report.comm_time_s > 0
             assert report.allreduce_bytes == spec.param_bytes()
-            assert len(report.pipeline.timings) == report.n_micro_batches
         # Only the split policy moves feature rows between devices.
         assert report.halo_bytes > 0 and report.halo_exchange_s > 0
         assert report.placement.assignments == report.assignments

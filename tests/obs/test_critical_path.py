@@ -160,12 +160,21 @@ class TestLiveRun:
         path = build_critical_path(sink.events)
         assert path.main_thread == threading.current_thread().name
         assert path.coverage >= 0.95
-        # Every stage of the in-line engine is on the critical path:
-        # training hides nothing on another thread.
+        # Every stage of the one iteration loop is on the critical
+        # path: training hides nothing on another thread.
         assert path.overlapped_busy_s == {}
         for stage in (
-            "pipeline.block_gen",
-            "pipeline.stage_features",
-            "pipeline.compute",
+            "block_generation",
+            "train.micro_batch",
+            "forward_backward_wall",
         ):
             assert stage in path.critical_self_s
+        # One block_generation span per group, in schedule order.
+        indices = [
+            e["attrs"]["index"]
+            for e in sink.events
+            if e["type"] == "span"
+            and e["name"] == "block_generation"
+            and "index" in e["attrs"]
+        ]
+        assert indices == list(range(report.n_micro_batches))

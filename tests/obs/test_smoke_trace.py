@@ -21,7 +21,6 @@ REQUIRED_SPANS = {
     "sampling",
     "block_generation",
     "buffalo_scheduling",
-    "pipeline.block_gen",
     "train.micro_batch",
     "train.epoch",
     "forward_backward_wall",
@@ -70,6 +69,24 @@ class TestTraceSmoke:
         }
         missing = REQUIRED_SPANS - names
         assert not missing, f"trace missing spans: {sorted(missing)}"
+
+    def test_every_group_has_its_block_generation_span(self, artifacts):
+        # Per iteration, the loop's block_generation spans (the ones
+        # carrying a group index) number K, with indices 0..K-1.
+        trace, _ = artifacts
+        spans = [e for e in read_jsonl(str(trace)) if e["type"] == "span"]
+        iterations = {
+            e["span_id"]: e["attrs"]["k"]
+            for e in spans
+            if e["name"] == "buffalo.iteration"
+        }
+        assert iterations
+        indices = {span_id: [] for span_id in iterations}
+        for e in spans:
+            if e["name"] == "block_generation" and "index" in e["attrs"]:
+                indices[e["parent_id"]].append(e["attrs"]["index"])
+        for span_id, k in iterations.items():
+            assert sorted(indices[span_id]) == list(range(k))
 
     def test_spans_nest_under_known_parents(self, artifacts):
         trace, _ = artifacts
