@@ -57,9 +57,9 @@ SCRATCH_RATIO_TARGET = 0.7
 #: slower than reference (best-of-N guards against scheduler flake).
 CI_MIN_SPEEDUP = 0.9
 
-#: The sub-crossover row: 48 * 4 * 16 = 3072 elements of work sits well
-#: below the shipped dense/CSR crossover, so the hybrid dispatch routes
-#: it down the dense arm — the gate exercises both dispatch paths.
+#: The small row: 48 * 4 * 16 = 3072 elements of work, like the many
+#: low-degree buckets of a power-law batch, where the fixed per-bucket
+#: cost of building the CSR operator weighs most.
 SMALL_BUCKET = {"n_rows": 48, "degree": 4, "feat_dim": 16}
 
 _BACKEND_CLASSES: dict[str, type[KernelBackend]] = {
@@ -208,7 +208,7 @@ def run_kernel_bench(
     workload = make_cutoff_bucket_workload(
         n_rows=n_rows, degree=degree, feat_dim=feat_dim, seed=seed
     )
-    backends = tuple(backends)
+    ops, backends = tuple(ops), tuple(backends)
     for name in backends:
         if name not in _BACKEND_CLASSES:
             raise ReproError(
@@ -232,12 +232,11 @@ def run_kernel_bench(
         "buckets": {},
     }
     result["ops"] = _compare_backends(workload, ops, backends, repeats)
-    # The sub-crossover row: routed down the dense arm by the hybrid
-    # dispatch, so the gate notices a broken dense fallback too.
+    # The small row: per-bucket fixed costs, where they weigh most.
     small = make_cutoff_bucket_workload(seed=seed, **SMALL_BUCKET)
     result["buckets"]["small"] = {
         "workload": small.meta,
-        "ops": _compare_backends(small, ("sum", "mean"), backends, repeats),
+        "ops": _compare_backends(small, ops, backends, repeats),
     }
     # The attention row: learned per-edge weights, exercising the
     # alpha-dot backward.
@@ -293,9 +292,7 @@ def ledger_record_from_kernel_result(
 
     The kernels gate is defined once, as ledger floors:
     ``ops.<op>.speedup >= min_speedup`` for the gated ops — only
-    ``sum`` and ``mean`` by default, since ``max`` keeps an argmax
-    tracker for the backward and is allowed to trade wall time for
-    exactness.  ``repro ledger check`` therefore reproduces the CI
+    ``sum`` and ``mean`` by default.  ``repro ledger check`` therefore reproduces the CI
     perf-smoke behavior while also enabling cross-run comparison
     against a checked-in baseline.
     """

@@ -119,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument(
         "--kernel-backend",
-        default="reference",
+        default="fused",
         choices=["reference", "fused"],
-        help="bucketed-aggregation kernels: 'reference' keeps the dense "
-        "(n, degree, feat) gather semantics bit-for-bit; 'fused' reads "
-        "the CSR block directly (see docs/kernels.md)",
+        help="bucketed-aggregation kernels: 'fused' reads the CSR block "
+        "directly; 'reference' keeps the dense (n, degree, feat) gather "
+        "semantics bit-for-bit (see docs/kernels.md)",
     )
     train.add_argument(
         "--hot-cache-mb",
@@ -227,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel-backend",
-        default="reference",
+        default="fused",
         choices=["reference", "fused"],
         help="bucketed-aggregation kernels for the serving forwards "
         "(see docs/kernels.md)",

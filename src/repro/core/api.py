@@ -151,9 +151,9 @@ class BuffaloTrainer:
             interconnect.  Gradients are bit-for-bit identical under
             either policy at any N.
         kernel_backend: bucket-aggregation kernel backend,
-            ``"reference"`` (dense gather, bit-for-bit legacy
-            semantics) or ``"fused"`` (CSR segment-reduce, no
-            ``(n, d, f)`` neighbor tensor — see docs/kernels.md).
+            ``"fused"`` (the default: CSR segment-reduce, no
+            ``(n, d, f)`` neighbor tensor — see docs/kernels.md) or
+            ``"reference"`` (the dense-gather oracle).
             Scheduling and execution both run under this backend so
             Eq. 1-2 estimates match the executed live set.
 
@@ -181,7 +181,7 @@ class BuffaloTrainer:
         seed: int = 0,
         k_max: int = 128,
         parallel: str = "data",
-        kernel_backend: str = "reference",
+        kernel_backend: str = "fused",
     ) -> None:
         if spec.in_dim != dataset.feat_dim:
             raise SchedulingError(
@@ -405,6 +405,12 @@ class BuffaloTrainer:
                     plan, assignments, placement = self._place(
                         batch, blocks, plan, profiler
                     )
+                    # Only planning reads the whole-batch chain (the
+                    # plan's estimator walks it); each group trains on
+                    # blocks of its own, so release it before the
+                    # groups' activations pile up.
+                    plan.estimator = None
+                    del blocks
                 except SchedulingError:
                     # A tightened constraint can become unschedulable;
                     # that is the same terminal condition as the OOM
@@ -444,7 +450,7 @@ class BuffaloTrainer:
                 # its traceback, which pins the failed iteration's
                 # activation graph in the device ledger) is released.
                 last_oom = DeviceOutOfMemoryError(*oom_info)
-                del batch, blocks, plan, placement, profiler
+                del batch, plan, placement, profiler
                 gc.collect()
                 # Snap to the tightest device's real headroom (minus
                 # resident parameters), then keep shaving 25% per

@@ -52,14 +52,17 @@ class SchedulePlan:
         k: number of groups.
         split_applied: whether the explosion bucket was split.
         buckets: the final output-layer bucket list (post-split).
-        estimator: the estimator used (reused for reporting).
+        estimator: the estimator used (reused by split regrouping);
+            ``None`` once :meth:`repro.core.api.BuffaloTrainer.run_iteration`
+            has placed the plan and released the batch-level chain the
+            estimator walks.
     """
 
     groups: list[BucketGroup]
     k: int
     split_applied: bool
     buckets: list[Bucket]
-    estimator: BucketMemEstimator
+    estimator: BucketMemEstimator | None
     _input_sets: list[np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )

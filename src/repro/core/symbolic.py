@@ -26,6 +26,7 @@ from repro.gnn.footprint import (
     model_layer_footprints,
     training_dram_bytes,
     training_flops,
+    working_set_bytes,
 )
 
 
@@ -116,9 +117,7 @@ class SymbolicTrainer:
             )
             profiler.add_sim("data_loading", self.device.load(input_bytes))
             footprints = self._layer_footprints(blocks)
-            working = input_bytes + sum(
-                fp.activation_bytes + fp.grad_bytes for fp in footprints
-            )
+            working = input_bytes + working_set_bytes(footprints)
             handle = self.device.alloc(int(working))
             duration = self.device.run_kernel(
                 training_flops(footprints),

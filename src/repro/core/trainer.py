@@ -147,7 +147,7 @@ class MicroBatchTrainer:
         optimizer: optimizer over ``model.parameters()``.
         device: simulated GPU; ``None`` disables memory/time accounting.
         kernel_backend: bucket-aggregation backend name or instance
-            ("reference" | "fused", see :mod:`repro.kernels`); the
+            ("fused" | "reference", see :mod:`repro.kernels`); the
             trainer scopes it around every micro-batch and marks the
             bucket-group boundary so the fused backend's workspace
             arena is reused across micro-batches.
@@ -167,7 +167,7 @@ class MicroBatchTrainer:
         optimizer: Optimizer,
         device: SimulatedGPU | None = None,
         *,
-        kernel_backend: str = "reference",
+        kernel_backend: str = "fused",
     ) -> None:
         self.model = model
         self.spec = spec

@@ -34,6 +34,10 @@ BACKWARD_OVERHEAD = 1.0
 #: Backward pass FLOPs as a multiple of forward FLOPs (standard 2x).
 BACKWARD_FLOPS = 2.0
 
+#: Aggregators the fused backend runs as CSR products, without the
+#: ``(n, d, f)`` neighbor tensor (pool/LSTM always build it).
+_CSR_AGGREGATORS = ("mean", "sum", "max", "gcn", "attention")
+
 
 @dataclass(frozen=True)
 class Footprint:
@@ -46,12 +50,16 @@ class Footprint:
             buffer per gradient-requiring activation).
         flops: forward floating point operations.
         dram_bytes: device-memory traffic for roofline timing.
+        transient_bytes: bytes live at the unit's forward high-water
+            mark, when that exceeds what it retains (a layer whose
+            forward builds and drops more than it keeps); 0 otherwise.
     """
 
     activation_bytes: float
     grad_bytes: float
     flops: float
     dram_bytes: float
+    transient_bytes: float = 0.0
 
     def __add__(self, other: "Footprint") -> "Footprint":
         return Footprint(
@@ -59,6 +67,7 @@ class Footprint:
             self.grad_bytes + other.grad_bytes,
             self.flops + other.flops,
             self.dram_bytes + other.dram_bytes,
+            self.transient_bytes + other.transient_bytes,
         )
 
     @staticmethod
@@ -71,6 +80,7 @@ class Footprint:
             self.grad_bytes * factor,
             self.flops * factor,
             self.dram_bytes * factor,
+            self.transient_bytes * factor,
         )
 
 
@@ -109,8 +119,10 @@ def aggregator_bucket_footprint(
     gather for mean/sum/max/gcn/attention — its backward rebuilds the
     CSR operator from block indices and borrows scratch from the
     workspace arena (amortized across buckets, excluded from the
-    per-bucket live set) — so those retained-gather terms vanish;
-    pool/LSTM stay dense under every backend.
+    per-bucket live set) — so those retained-gather terms vanish, and
+    over leaf inputs their outputs are off the tape and retain nothing
+    per bucket (:func:`layer_footprint`'s reassembly carries their
+    forward transient); pool/LSTM stay dense under every backend.
 
     Per-aggregator retained inventory (float32 = 4 B unless noted):
 
@@ -129,38 +141,23 @@ def aggregator_bucket_footprint(
         return Footprint.zero()
     b = FLOAT_BYTES
     irg = input_requires_grad
-    fused = _resolve_backend(backend) == "fused" and name in (
-        "mean",
-        "sum",
-        "max",
-        "gcn",
-        "attention",
+    fused = (
+        _resolve_backend(backend) == "fused" and name in _CSR_AGGREGATORS
     )
     gather = n * d * in_dim * b
-    if name in ("mean", "sum"):
+    if name in ("mean", "sum", "max"):
         out = n * in_dim * b
         if fused:
-            # CSR segment-reduce: only the (n, f) output is retained;
-            # backward touches each source row once (A^T @ grad).
-            act = out
+            # CSR segment-reduce: the (n, f) output (plus, for max, the
+            # int32 best-column tracker of the same element count) is
+            # retained only on the tape — over leaf inputs it dies in
+            # the reassembly; backward touches each source row once.
+            act = (2 if name == "max" else 1) * out if irg else 0
             grad = out if irg else 0
             dram = gather + out
         else:
-            act = out + (gather if irg else 0)
-            grad = (out + gather) if irg else 0
-            dram = 2 * gather
-        flops = n * d * in_dim
-    elif name == "max":
-        # Index bookkeeping (argmax) is treated as fused kernel state,
-        # matching the ledger's convention of tracking float tensors.
-        out = n * in_dim * b
-        if fused:
-            # Output plus the int32 best-column tracker the backward
-            # closure keeps (same element count as the output).
-            act = out + (out if irg else 0)
-            grad = out if irg else 0
-            dram = gather + out
-        else:
+            # The dense argmax is index bookkeeping, untracked like
+            # every non-float array.
             act = out + (gather if irg else 0)
             grad = (out + gather) if irg else 0
             dram = 2 * gather
@@ -185,13 +182,14 @@ def aggregator_bucket_footprint(
         # Normalized sum: the (n, d, f) gather, its coefficient product,
         # and the (n, d, 1) coefficient tensor are retained only when
         # inputs require grad; the self-term gather/product and summed
-        # output (~3 arrays of (n, f)) persist either way.  The fused
-        # weighted-sum keeps only the coefficient vector — the operator
-        # is rebuilt from CSR indices in backward.
+        # output (~3 arrays of (n, f)) persist either way (on leaf
+        # inputs they stand in for the dense forward's transient peak).
+        # The fused weighted-sum's coefficients are untracked; over leaf
+        # inputs its arrays are off the tape and die in the reassembly.
         out = 3 * n * in_dim * b
         coeff = n * d * b
         if fused:
-            act = out + (coeff if irg else 0)
+            act = out if irg else 0
             grad = out if irg else 0
             dram = gather + coeff + out
         else:
@@ -276,44 +274,42 @@ def layer_footprint(
             heads=heads,
             backend=backend,
         )
-    if aggregator == "gcn":
-        # GCN's combine is a single Linear (3 retained arrays vs SAGE's
-        # 5); approximate with 0.6 of the SAGE combine.
-        reassembly_bytes = float(2 * n_dst * in_dim * FLOAT_BYTES)
-        reassembly = Footprint(
-            reassembly_bytes,
-            reassembly_bytes if input_requires_grad else reassembly_bytes,
-            0.0,
-            reassembly_bytes,
-        )
-        return (
-            total
-            + reassembly
-            + combine_footprint(n_dst, in_dim, out_dim).scaled(0.6)
-        )
     agg_out = (
         agg_hidden if aggregator in ("pool", "lstm", "attention") else in_dim
     )
     # Bucket reassembly (concat + permute back to dst order): two
     # (n_dst, agg_out) arrays retained by the downstream matmul closure;
-    # they require grad exactly when the aggregator outputs do.
+    # they require grad exactly when the aggregator outputs do (the
+    # dense GCN's self-term puts them on the tape even over leaves).
     reassembly_bytes = float(2 * n_dst * agg_out * FLOAT_BYTES)
-    reassembly_requires_grad = input_requires_grad or aggregator in (
-        "pool",
-        "lstm",
-        "attention",
+    retained, transient = reassembly_bytes, 0.0
+    on_tape = (
+        input_requires_grad
+        or aggregator in ("pool", "lstm", "attention")
+        or (aggregator == "gcn" and backend != "fused")
     )
+    if backend == "fused" and not on_tape:
+        # Only the permuted rows the Linear saves stay live, but the
+        # bucket outputs, their concat (one bucket needs none) and the
+        # permuted copy are live at once first.  (The dense path's
+        # retained terms stand in for its own transient, the gather.)
+        copies = 3 if len(degree_histogram) > 1 else 2
+        retained = reassembly_bytes / 2
+        transient = copies * reassembly_bytes / 2
     reassembly = Footprint(
-        reassembly_bytes,
-        reassembly_bytes if reassembly_requires_grad else 0.0,
+        retained,
+        reassembly_bytes if on_tape else 0.0,
         0.0,
         reassembly_bytes,
+        transient,
     )
-    return (
-        total
-        + reassembly
-        + combine_footprint(n_dst, max(in_dim, agg_out), out_dim)
-    )
+    if aggregator == "gcn":
+        # GCN's combine is a single Linear (3 retained arrays vs SAGE's
+        # 5); approximate with 0.6 of the SAGE combine.
+        combine = combine_footprint(n_dst, in_dim, out_dim).scaled(0.6)
+    else:
+        combine = combine_footprint(n_dst, max(in_dim, agg_out), out_dim)
+    return total + reassembly + combine
 
 
 def model_layer_footprints(
@@ -346,20 +342,34 @@ def input_feature_bytes(n_src: int, feat_dim: int) -> int:
     return int(n_src * feat_dim * FLOAT_BYTES)
 
 
+def working_set_bytes(layer_footprints: list[Footprint]) -> float:
+    """Peak bytes the layers add for one forward+backward.
+
+    Forward retains every layer's activations; the backward peak adds
+    the per-activation gradient buffers.  A layer's forward transient
+    sits on top of what the layers before it (input-most first)
+    retain, and sets the peak when it is the larger.
+    """
+    retained = 0.0
+    forward_peak = 0.0
+    for fp in layer_footprints:
+        forward_peak = max(forward_peak, retained + fp.transient_bytes)
+        retained += fp.activation_bytes
+    backward_peak = retained + sum(fp.grad_bytes for fp in layer_footprints)
+    return max(forward_peak, backward_peak)
+
+
 def training_peak_bytes(
     layer_footprints: list[Footprint],
     input_bytes: int,
     param_bytes: int,
 ) -> float:
-    """Peak device bytes for one forward+backward over the given layers.
-
-    Forward retains every layer's activations; the backward peak adds
-    the per-activation gradient buffers, plus parameters with their
-    gradients and the input features.
-    """
-    activations = sum(fp.activation_bytes for fp in layer_footprints)
-    gradients = sum(fp.grad_bytes for fp in layer_footprints)
-    return input_bytes + 2.0 * param_bytes + activations + gradients
+    """Peak device bytes for one forward+backward over the given layers:
+    the layers' working set plus parameters with their gradients and
+    the input features."""
+    return (
+        input_bytes + 2.0 * param_bytes + working_set_bytes(layer_footprints)
+    )
 
 
 def training_flops(layer_footprints: list[Footprint]) -> float:

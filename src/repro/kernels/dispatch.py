@@ -1,6 +1,6 @@
 """Kernel backend registry and the active-backend switch.
 
-One process-wide active backend (default: reference) keeps the model
+One process-wide active backend (default: fused) keeps the model
 code backend-oblivious: layers call :func:`get_kernel_backend` at each
 forward, and the trainer scopes its configured backend around each
 micro-batch with :func:`use_kernel_backend`.  Backends are singletons —
@@ -58,10 +58,10 @@ _ACTIVE: KernelBackend | None = None
 
 
 def get_kernel_backend() -> KernelBackend:
-    """The active backend (reference unless configured otherwise)."""
+    """The active backend (fused unless configured otherwise)."""
     global _ACTIVE
     if _ACTIVE is None:
-        _ACTIVE = resolve_backend("reference")
+        _ACTIVE = resolve_backend("fused")
     return _ACTIVE
 
 

@@ -13,9 +13,10 @@ finishes.  This backend never materializes it:
   called on the three CSR arrays directly — no sparse-matrix object
   is built.
 * **max** — a per-column running maximum with an int32 best-column
-  tracker; backward scatters the output gradient to each column masked
-  by ``best == j`` (exactly the dense argmax semantics, including
-  first-occurrence tie-breaking).
+  tracker (strictly-greater compares keep the first occurrence on
+  ties, the winner ``np.argmax`` picks on the dense tensor); backward
+  maps each output element to its winning source element and
+  scatter-adds the output gradient there in one ``np.add.at``.
 
 The enabling trick is that ``A`` costs ~0.1 ms to *rebuild* from
 ``(block.indptr, block.indices, bucket.rows)``: backward closures
@@ -26,23 +27,19 @@ buckets and micro-batches.  Peak live bytes drop by the two
 ``(n, d, f)`` arrays the reference backend retains; wall time drops
 because the sparse matmul touches each source row once.
 
-Tolerance note: CSR matmul sums a row's neighbors in index order while
-the dense reduction sums pairwise, so fused forwards match reference
-only to float32 round-off (~1e-6 relative; the differential suite pins
-the exact bound).  The max *forward* is bit-for-bit (same compares,
-same first-occurrence tie-breaking); its backward scatter-adds in
-column order where the reference scatters row-major, so when a source
-row is the argmax of several destinations the accumulated gradient
-again matches only to round-off.
+Every bucket, however small, runs these CSR paths; execution is serial
+on the compute thread (docs/kernels.md records the measurements).
+``buffalo.kernel.dense_fallbacks`` counts the pool/LSTM neighbor
+tensors the fused layer cannot express.
 
-Hybrid dispatch: buckets below :data:`DENSE_FALLBACK_ELEMENTS` of
-work take the dense reference path — CSR assembly is a fixed
-Python-side cost that tiny low-degree buckets never amortize, and a
-power-law batch has many of them.  The crossover is one shipped
-constant and execution is serial on the compute thread; docs/kernels.md
-records the measurements behind both choices.
-``buffalo.kernel.dense_fallbacks`` counts dense routings plus the
-pool/LSTM neighbor tensors the fused layer cannot express.
+Tolerance note: CSR matmul sums a row's neighbors in index order while
+the dense reduction sums pairwise, so fused sum/mean/weighted/attention
+forwards match reference only to float32 round-off (~1e-6 relative;
+the differential suite pins the exact bound).  ``max`` is bit-for-bit
+both ways: the forward makes the same compares with the same
+tie-breaking, and the backward's flat scatter visits each source
+element's winning rows in the same row-major order the reference's
+``np.add.at`` over the ``(n, d, f)`` gradient does.
 """
 
 from __future__ import annotations
@@ -63,14 +60,6 @@ from repro.kernels.reference import ReferenceBackend
 from repro.tensor.tensor import Tensor
 
 __all__ = ["FusedBackend"]
-
-#: Below this many elements of bucket work (``n * d * f``) the dense
-#: gather beats the CSR operator: assembling the sparse matrix costs a
-#: fixed ~0.2 ms of Python/scipy overhead that small buckets never
-#: amortize (measured float32 crossover ~20k elements; low-degree
-#: buckets of a power-law batch sit well under it, the cut-off bucket
-#: far above).
-DENSE_FALLBACK_ELEMENTS = 16384
 
 
 def _matvecs(
@@ -110,24 +99,13 @@ class FusedBackend(KernelBackend):
 
     name = "fused"
 
-    def __init__(
-        self, *, dense_fallback_elements: int = DENSE_FALLBACK_ELEMENTS
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        # Dense (n, d, f) materializations: pool/LSTM (which the fused
-        # layer cannot help) plus small buckets below the hybrid
-        # dispatch crossover.  The count makes the residual dense
+        # Dense (n, d, f) materializations: pool/LSTM, which the fused
+        # layer cannot help.  The count makes the residual dense
         # traffic visible in metrics.
         self._dense_fallbacks = 0
         self._reduce_calls = 0
-        # Tests and the bench force one dispatch arm by overriding the
-        # crossover (0 = always CSR, huge = always dense).
-        self.dense_fallback_elements = dense_fallback_elements
-
-    def _prefers_dense(self, bucket: Bucket, src_feats: Tensor) -> bool:
-        """Hybrid dispatch: route tiny buckets to the dense path."""
-        work = bucket.n_edges * src_feats.shape[1]
-        return work < self.dense_fallback_elements
 
     # ------------------------------------------------------------------
     # group lifetime / metrics
@@ -145,8 +123,7 @@ class FusedBackend(KernelBackend):
         if self._dense_fallbacks:
             metrics.counter(
                 "buffalo.kernel.dense_fallbacks",
-                help="dense (n, d, f) materializations "
-                "(pool/LSTM and sub-crossover buckets)",
+                help="dense (n, d, f) neighbor tensors (pool/LSTM)",
             ).inc(self._dense_fallbacks)
             self._dense_fallbacks = 0
         super().end_group()
@@ -217,10 +194,6 @@ class FusedBackend(KernelBackend):
     ) -> Tensor:
         self._check_op(op)
         self._reduce_calls += 1
-        if self._prefers_dense(bucket, src_feats):
-            return ReferenceBackend.bucket_reduce(
-                self, block, bucket, src_feats, op
-            )
         if op == "max":
             return self._reduce_max(block, bucket, src_feats)
         return self._reduce_linear(
@@ -366,20 +339,26 @@ class FusedBackend(KernelBackend):
                 # Strictly-greater keeps the first occurrence on ties —
                 # the same winner np.argmax picks on the dense tensor.
                 np.greater(scratch, out, out=mask)
-                best[mask] = j
+                np.copyto(best, j, where=mask)
             np.maximum(out, scratch, out=out)
 
         def backward_fn(grad: np.ndarray) -> None:
+            # One scatter: output element (i, c) sends its gradient to
+            # source element (indices[starts[i] + best[i, c]], c).  Flat
+            # targets in row-major (i, c) order add each source
+            # element's winners in the reference scatter's order, so
+            # the gradient is bit-for-bit the dense one.
             gsrc = ws.request("fused.grad_src", src.shape, grad.dtype)
             gsrc.fill(0.0)
-            bcol = ws.request("fused.col", (n,), INDEX_DTYPE)
-            bmask = ws.request("fused.mask", (n, f), np.bool_)
-            piece = ws.request("fused.gather", (n, f), grad.dtype)
-            for j in range(d):
-                self._column(block, starts, j, bcol)
-                np.equal(best, j, out=bmask)
-                np.multiply(grad, bmask, out=piece)
-                np.add.at(gsrc, bcol, piece)
+            pos = ws.request("fused.win_pos", (n, f), INDEX_DTYPE)
+            np.add(starts[:, None], best, out=pos)
+            # Separate buffer: np.take with out= aliasing its index
+            # array is undefined behavior.
+            target = ws.request("fused.win", (n, f), INDEX_DTYPE)
+            np.take(block.indices, pos, out=target)
+            target *= f
+            target += cached_arange(f, INDEX_DTYPE)
+            np.add.at(gsrc.reshape(-1), target.reshape(-1), grad.reshape(-1))
             src_feats._accumulate(gsrc)
 
         return Tensor._make(out, (src_feats,), backward_fn)
@@ -395,10 +374,6 @@ class FusedBackend(KernelBackend):
         coeff: np.ndarray,
     ) -> Tensor:
         self._reduce_calls += 1
-        if self._prefers_dense(bucket, src_feats):
-            return ReferenceBackend.bucket_weighted_sum(
-                self, block, bucket, src_feats, coeff
-            )
         return self._reduce_linear(block, bucket, src_feats, scale=coeff)
 
     def bucket_attention_sum(
@@ -409,16 +384,12 @@ class FusedBackend(KernelBackend):
         alpha: Tensor,
     ) -> Tensor:
         self._reduce_calls += 1
-        if self._prefers_dense(bucket, src_feats):
-            return ReferenceBackend.bucket_attention_sum(
-                self, block, bucket, src_feats, alpha
-            )
         return self._reduce_linear(
             block, bucket, src_feats, scale=None, alpha=alpha
         )
 
     # ------------------------------------------------------------------
-    # dense fallback
+    # pool/LSTM neighbor tensors
     # ------------------------------------------------------------------
     def neighbor_tensor(
         self, block: Block, bucket: Bucket, src_feats: Tensor

@@ -93,7 +93,7 @@ class ServeEngine:
             each computed node then runs a fixed-shape forward whose
             matmul shapes match serving it alone.
         kernel_backend: bucket-aggregation backend for the bucketed
-            forwards ("reference" | "fused", see :mod:`repro.kernels`);
+            forwards ("fused" | "reference", see :mod:`repro.kernels`);
             the engine scopes it around every batch's forward pass.
     """
 
@@ -107,7 +107,7 @@ class ServeEngine:
         sampler_seed: int = 0,
         cache: EmbeddingCache | None = None,
         merged_forward: bool = False,
-        kernel_backend: str = "reference",
+        kernel_backend: str = "fused",
     ) -> None:
         fanouts = tuple(int(f) for f in fanouts)
         if not fanouts or any(f < 1 for f in fanouts):

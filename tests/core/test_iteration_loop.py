@@ -198,3 +198,39 @@ class TestLifetime:
         assert len(refs) == 1 + report.n_micro_batches
         alive = [type(ref()).__name__ for ref in refs if ref() is not None]
         assert alive == []
+
+    def test_batch_blocks_die_before_the_groups_train(
+        self, monkeypatch, dataset, spec, constraint
+    ):
+        # Only planning (schedule + placement) reads the whole-batch
+        # block chain; every group trains on blocks of its own, so the
+        # chain must not stay resident beside the groups' activations.
+        refs = []
+        real_generate = api_mod.generate_blocks_fast
+
+        def generate(*args, **kwargs):
+            blocks = real_generate(*args, **kwargs)
+            refs.extend(weakref.ref(block) for block in blocks)
+            return blocks
+
+        alive_per_group = []
+        real_train = MicroBatchTrainer.train_micro_batch
+
+        def train(self, *args, **kwargs):
+            alive_per_group.append(sum(ref() is not None for ref in refs))
+            return real_train(self, *args, **kwargs)
+
+        monkeypatch.setattr(api_mod, "generate_blocks_fast", generate)
+        monkeypatch.setattr(MicroBatchTrainer, "train_micro_batch", train)
+        trainer = BuffaloTrainer(
+            dataset,
+            spec,
+            SimulatedGPU(capacity_bytes=1 << 40),
+            fanouts=FANOUTS,
+            seed=0,
+            memory_constraint=constraint,
+            clustering_coefficient=0.2,
+        )
+        report = trainer.run_iteration(dataset.train_nodes[:80])
+        assert len(refs) == len(FANOUTS)
+        assert alive_per_group == [0] * report.n_micro_batches

@@ -4,14 +4,12 @@ Tolerance contract (docs/kernels.md): the fused CSR matmul sums each
 row's neighbors in index order while the dense reduction sums pairwise,
 so sum/mean/weighted/attention match the reference to float32
 accumulation round-off — ``rtol=1e-5, atol=1e-6`` with degree <= 32
-neighbors per row.  The ``max`` forward (and any bucket routed through
-the dense fallback) is **bit-for-bit** — same compare order, same
-argmax tie-breaking — while the max backward's column-order scatter
-matches the reference's row-major scatter to the same round-off bound.
+neighbors per row.  ``max`` is **bit-for-bit** both ways — same
+compare order and argmax tie-breaking in the forward, and a backward
+scatter that adds each source element's winners in the reference's
+row-major order.
 
-Every fused backend here is built with ``dense_fallback_elements=0`` so
-small buckets exercise the fused code paths instead of the hybrid
-dispatch's dense fallback (which is covered separately).
+Every bucket, however small, runs the CSR paths.
 
 The fused linear reduces call scipy's compiled ``csr_matvecs`` /
 ``csc_matvecs`` on the bucket's three CSR arrays without building a
@@ -31,10 +29,6 @@ from repro.kernels.fused import _matvecs, csc_matvecs, csr_matvecs
 from repro.tensor import Tensor
 
 RTOL, ATOL = 1e-5, 1e-6
-
-
-def _forced_fused():
-    return FusedBackend(dense_fallback_elements=0)
 
 
 def _run(backend, block, bucket, feats, op, seed=0):
@@ -61,7 +55,7 @@ class TestLinearReduces:
             ReferenceBackend(), w.block, w.bucket, w.feats, op
         )
         fused_out, fused_grad = _run(
-            _forced_fused(), w.block, w.bucket, w.feats, op
+            FusedBackend(), w.block, w.bucket, w.feats, op
         )
         np.testing.assert_allclose(fused_out, ref_out, rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
@@ -78,7 +72,7 @@ class TestLinearReduces:
             ReferenceBackend(), block, bucket, feats, op
         )
         fused_out, fused_grad = _run(
-            _forced_fused(), block, bucket, feats, op
+            FusedBackend(), block, bucket, feats, op
         )
         np.testing.assert_allclose(fused_out, ref_out, rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
@@ -94,29 +88,26 @@ class TestLinearReduces:
                 ReferenceBackend(), block, deg1, feats, op
             )
             fused_out, fused_grad = _run(
-                _forced_fused(), block, deg1, feats, op
+                FusedBackend(), block, deg1, feats, op
             )
             assert np.array_equal(fused_out, ref_out)
             assert np.array_equal(fused_grad, ref_grad)
 
 
 class TestMax:
-    def test_forward_bitwise_grads_to_roundoff(self, cutoff_workload):
-        # Forward is exact (same compares, same tie-breaking).  The
-        # backward scatters column-major where the reference scatters
-        # row-major, so a source that wins several rows accumulates its
-        # gradient in a different order — round-off, not semantics.
+    def test_forward_and_grads_bitwise(self, cutoff_workload):
+        # Forward: same compares, same tie-breaking.  Backward: the one
+        # flat scatter adds a source element's winners in the row-major
+        # order the reference's np.add.at over (n, d, f) does.
         w = cutoff_workload
         ref_out, ref_grad = _run(
             ReferenceBackend(), w.block, w.bucket, w.feats, "max"
         )
         fused_out, fused_grad = _run(
-            _forced_fused(), w.block, w.bucket, w.feats, "max"
+            FusedBackend(), w.block, w.bucket, w.feats, "max"
         )
         assert np.array_equal(fused_out, ref_out)
-        np.testing.assert_allclose(
-            fused_grad, ref_grad, rtol=RTOL, atol=ATOL
-        )
+        assert np.array_equal(fused_grad, ref_grad)
 
     def test_tie_breaking_matches_argmax(self):
         # Two rows whose neighbors repeat the same source: the gradient
@@ -135,7 +126,7 @@ class TestMax:
             ReferenceBackend(), block, bucket, feats, "max"
         )
         fused_out, fused_grad = _run(
-            _forced_fused(), block, bucket, feats, "max"
+            FusedBackend(), block, bucket, feats, "max"
         )
         assert np.array_equal(fused_out, ref_out)
         assert np.array_equal(fused_grad, ref_grad)
@@ -148,7 +139,7 @@ class TestWeightedAndAttention:
         rng = np.random.default_rng(11)
         coeff = rng.standard_normal((n, d)).astype(FLOAT_DTYPE)
         results = []
-        for backend in (ReferenceBackend(), _forced_fused()):
+        for backend in (ReferenceBackend(), FusedBackend()):
             src = Tensor(w.feats, requires_grad=True)
             out = backend.bucket_weighted_sum(
                 w.block, w.bucket, src, coeff
@@ -168,7 +159,7 @@ class TestWeightedAndAttention:
         rng = np.random.default_rng(13)
         alpha_data = rng.random((n, d)).astype(FLOAT_DTYPE)
         results = []
-        for backend in (ReferenceBackend(), _forced_fused()):
+        for backend in (ReferenceBackend(), FusedBackend()):
             src = Tensor(w.feats, requires_grad=True)
             alpha = Tensor(alpha_data, requires_grad=True)
             out = backend.bucket_attention_sum(
@@ -250,7 +241,7 @@ class TestMatvecsEqualScipy:
         coeff = rng.standard_normal((n, d)).astype(FLOAT_DTYPE)
 
         src = Tensor(feats, requires_grad=True)
-        out = _linear(_forced_fused(), op, block, bucket, src, coeff)
+        out = _linear(FusedBackend(), op, block, bucket, src, coeff)
         out.backward(seed_grad)
 
         operator = _scipy_operator(
@@ -285,7 +276,7 @@ class TestMatvecsEqualScipy:
         grad = _strided(
             rng.standard_normal((n, feats.shape[1])).astype(dtype), layout
         )
-        backend = _forced_fused()
+        backend = FusedBackend()
         for weights in (None, rng.standard_normal(n * d)):
             want = _scipy_operator(block, bucket, weights, dtype)
             got = _matvecs(
@@ -313,7 +304,7 @@ class TestMatvecsEqualScipy:
         block, buckets, feats = mixed_block
         _, cut = _buckets_by_kind(buckets)
         column = np.ascontiguousarray(feats[:, :1])
-        got, got_grad = _run(_forced_fused(), block, cut, column, "sum")
+        got, got_grad = _run(FusedBackend(), block, cut, column, "sum")
         operator = _scipy_operator(block, cut, None, FLOAT_DTYPE)
         assert np.array_equal(got, operator @ column)
         seed_grad = np.random.default_rng(0).standard_normal(got.shape)
@@ -328,10 +319,10 @@ class TestMatvecsEqualScipy:
         block, buckets, feats = mixed_block
         deg1, cut = _buckets_by_kind(buckets)
         alone = [
-            _run(_forced_fused(), block, bucket, feats, "mean")
+            _run(FusedBackend(), block, bucket, feats, "mean")
             for bucket in (cut, deg1)
         ]
-        backend = _forced_fused()
+        backend = FusedBackend()
         src = Tensor(feats, requires_grad=True)
         outs = [
             backend.bucket_reduce(block, bucket, src, "mean")
@@ -370,12 +361,15 @@ class TestMatvecsEqualScipy:
 
 
 class TestDenseFallback:
+    """Only pool/LSTM neighbor tensors take the dense path."""
+
     def test_small_bucket_is_bit_for_bit(self, mixed_block):
-        # Under the crossover the hybrid dispatch takes the reference
-        # path, so small buckets are exact, not merely allclose.
+        # The fixture's cut-off bucket is small (degree 5): CSR adds a
+        # row's few neighbors in the order the dense reduction does,
+        # and max is exact at any size, so the results are exact, not
+        # merely allclose.
         block, buckets, feats = mixed_block
         _, cut = _buckets_by_kind(buckets)
-        assert cut.n_edges * feats.shape[1] < FusedBackend().dense_fallback_elements
         for op in ("sum", "mean", "max"):
             ref_out, ref_grad = _run(
                 ReferenceBackend(), block, cut, feats, op
@@ -387,8 +381,11 @@ class TestDenseFallback:
             assert np.array_equal(fused_grad, ref_grad)
 
     def test_fallback_counted(self, mixed_block):
+        # A small bucket runs CSR: it counts as a reduce call, never as
+        # a dense fallback.
         block, buckets, feats = mixed_block
         _, cut = _buckets_by_kind(buckets)
         backend = FusedBackend()
         backend.bucket_reduce(block, cut, Tensor(feats), "sum")
-        assert backend._dense_fallbacks == 1
+        assert backend._reduce_calls == 1
+        assert backend._dense_fallbacks == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import GraphError, ReproError
+from repro.kernels import dispatch
 from repro.kernels import (
     KERNEL_BACKENDS,
     FusedBackend,
@@ -33,9 +34,11 @@ class TestResolve:
 
 
 class TestActiveBackend:
-    def test_default_is_reference(self):
-        with use_kernel_backend("reference"):
-            assert get_kernel_backend().name == "reference"
+    def test_default_is_fused(self, monkeypatch):
+        # With no backend configured, a bare forward (and
+        # footprint(backend=None)) runs the path the trainer runs.
+        monkeypatch.setattr(dispatch, "_ACTIVE", None)
+        assert get_kernel_backend().name == "fused"
 
     def test_use_scopes_and_restores(self):
         before = get_kernel_backend()

@@ -6,8 +6,8 @@
 * full models (GraphSAGE mean/sum/max, GCN, GAT) produce matching
   logits and parameter gradients under both backends (float32
   tolerance, docs/kernels.md);
-* a BuffaloTrainer iteration under ``kernel_backend="fused"`` lands on
-  the reference loss;
+* a BuffaloTrainer iteration under ``kernel_backend="fused"`` (the
+  default) lands on the reference loss;
 * Eq. 1-2 footprints shrink under the fused backend (estimator honesty:
   scheduling sees the backend that will actually run).
 """
@@ -31,7 +31,6 @@ from repro.kernels import (
     ReferenceBackend,
     use_kernel_backend,
 )
-from repro.kernels.fused import DENSE_FALLBACK_ELEMENTS
 from repro.tensor import Tensor
 from repro.tensor.ops import gather_rows
 
@@ -111,7 +110,7 @@ class TestModelParity:
             spec, blocks, feats, ReferenceBackend()
         )
         fused_out, fused_grads = _model_pass(
-            spec, blocks, feats, FusedBackend(dense_fallback_elements=0)
+            spec, blocks, feats, FusedBackend()
         )
         np.testing.assert_allclose(fused_out, ref_out, rtol=RTOL, atol=ATOL)
         for got, want in zip(fused_grads, ref_grads):
@@ -159,11 +158,10 @@ class TestTrainerParity:
             warnings.simplefilter("error")
             backend = FusedBackend()
             loss = self._loss(dataset, backend)
-        assert backend.dense_fallback_elements == DENSE_FALLBACK_ELEMENTS
         assert loss == self._loss(dataset, "fused")
         assert threading.active_count() == threads_before
 
-    def test_reference_backend_is_the_default(self, dataset):
+    def test_fused_backend_is_the_default(self, dataset):
         spec = ModelSpec(dataset.feat_dim, 16, dataset.n_classes, 2, "mean")
         trainer = BuffaloTrainer(
             dataset,
@@ -172,7 +170,7 @@ class TestTrainerParity:
             fanouts=[5, 5],
             seed=1,
         )
-        assert trainer.trainers[0].kernel.name == "reference"
+        assert trainer.trainers[0].kernel.name == "fused"
 
 
 class TestEstimatorHonesty:

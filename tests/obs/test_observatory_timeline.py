@@ -176,8 +176,8 @@ def cora_tl(tmp_path):
     build_store(base, dest, shard_rows=64)
     dataset = open_dataset(dest, hot_cache_bytes=1 << 16)
     spec = ModelSpec(dataset.feat_dim, 16, dataset.n_classes, 2, "mean")
-    # Fanout 8 pushes the cut-off bucket past the fused backend's dense
-    # crossover so the workspace arena tier is actually exercised.
+    # The fused backend's CSR paths borrow scratch from the workspace
+    # arena, so the arena tier is actually exercised.
     device = SimulatedGPU(capacity_bytes=600_000)
     trainer = BuffaloTrainer(
         dataset,
